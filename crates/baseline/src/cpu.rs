@@ -7,7 +7,8 @@
 //! cost extra); with `k* = 256` the LUT spills to L1 and every lookup is a
 //! load. The model computes both bounds and takes the slower.
 
-use anna_index::{kernels, IvfPqIndex, Lut, LutPrecision, SearchParams};
+use anna_engine::{run_pipeline, PlanOptions, QuerySpec};
+use anna_index::{kernels, BatchedScan, IvfPqIndex, Lut, LutPrecision, SearchParams};
 use anna_telemetry::Telemetry;
 use anna_vector::{Metric, TopK, VectorSet};
 use serde::{Deserialize, Serialize};
@@ -222,61 +223,76 @@ pub fn calibrate(vectors: usize, m: usize) -> CpuKernelRates {
 
 /// Times a real search over a real index on the host and returns measured
 /// QPS (used for the small-scale, fully-measured points in the report).
+///
+/// This is the query-major schedule: each query runs
+/// [`IvfPqIndex::search`] on its own, queries split into contiguous
+/// chunks over one scoped worker per available core.
 pub fn measure_qps(index: &IvfPqIndex, queries: &VectorSet, params: &SearchParams) -> f64 {
-    assert_eq!(index.metric(), index.metric());
-    let _warm = index.search_batch(queries, params);
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let chunk = queries.len().div_ceil(threads).max(1);
+    let pass = || {
+        std::thread::scope(|s| {
+            for start in (0..queries.len()).step_by(chunk) {
+                s.spawn(move || {
+                    for qi in start..(start + chunk).min(queries.len()) {
+                        std::hint::black_box(index.search(queries.row(qi), params));
+                    }
+                });
+            }
+        });
+    };
+    pass(); // warm-up
     let start = std::time::Instant::now();
-    let _ = index.search_batch(queries, params);
+    pass();
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     queries.len() as f64 / secs
 }
 
 /// Times the cluster-major batched scan on the host (the Faiss16-like
-/// schedule) and returns measured QPS, using one worker per core.
-pub fn measure_batched_qps(index: &IvfPqIndex, queries: &VectorSet, params: &SearchParams) -> f64 {
-    measure_batched_qps_with(index, queries, params, 0)
-}
-
-/// Like [`measure_batched_qps`] but with an explicit worker count
-/// (`threads == 0` means one worker per available core; `1` is the serial
-/// reference schedule). Results are bit-identical across `threads` — only
-/// the wall clock changes — so the sweep in `anna-bench` measures pure
-/// scheduling overhead/speedup.
-pub fn measure_batched_qps_with(
-    index: &IvfPqIndex,
-    queries: &VectorSet,
-    params: &SearchParams,
-    threads: usize,
-) -> f64 {
-    measure_batched_qps_traced(index, queries, params, threads, &Telemetry::disabled())
-}
-
-/// [`measure_batched_qps_with`] with a telemetry sink.
+/// schedule) on `threads` workers and returns measured QPS. Results are
+/// bit-identical across `threads` — only the wall clock changes — so the
+/// sweep in `anna-bench` measures pure scheduling overhead/speedup.
 ///
-/// The warm-up pass runs uninstrumented; then **three** timed passes run
-/// under `cpu.batch` spans and the best (fastest) one decides the
-/// reported QPS, mirroring how [`measure_stream_bandwidth`] reports its
-/// best-of-3 — a single timed pass let scheduler noise land directly in
-/// `reports/threads_sweep.json`. The snapshot carries the baseline's
-/// stage timings, per-worker utilization and bridged `plan.*` traffic
-/// counters for all three passes (the `cpu.batch` histogram holds three
-/// samples), and the best-pass throughput lands in the `cpu.qps` gauge.
-pub fn measure_batched_qps_traced(
+/// Each pass runs the full [`run_pipeline`] (scope, plan, price, execute,
+/// verify). The warm-up pass runs uninstrumented; then **three** timed
+/// passes run under `cpu.batch` spans and the best (fastest) one decides
+/// the reported QPS, mirroring how [`measure_stream_bandwidth`] reports
+/// its best-of-3 — a single timed pass let scheduler noise land directly
+/// in `reports/threads_sweep.json`. With `tel` enabled the snapshot
+/// carries the pipeline's stage timings, per-worker utilization and
+/// bridged `plan.*` traffic counters for all three passes (the
+/// `cpu.batch` histogram holds three samples), and the best-pass
+/// throughput lands in the `cpu.qps` gauge.
+///
+/// # Panics
+///
+/// Panics if the batch's measured traffic differs from its prediction.
+pub fn measure_batched_qps(
     index: &IvfPqIndex,
     queries: &VectorSet,
     params: &SearchParams,
     threads: usize,
     tel: &Telemetry,
 ) -> f64 {
-    let scan = anna_index::BatchedScan::new(index);
-    let exec = anna_index::BatchExec::with_threads(threads);
-    let _warm = scan.run_with(queries, params, &exec);
+    let scan = BatchedScan::new(index);
+    let spec = QuerySpec {
+        k: params.k,
+        scope: params.nprobe,
+    };
+    let options = PlanOptions::default();
+    let pass = |tel: &Telemetry| {
+        run_pipeline(&scan, queries, &spec, &options, threads, tel)
+            .expect("batched scan: predicted traffic must equal measured")
+    };
+    pass(&Telemetry::disabled());
     let mut best_secs = f64::INFINITY;
     for _ in 0..3 {
         let start = std::time::Instant::now();
         {
             let _span = tel.span("cpu.batch");
-            let _ = scan.run_instrumented(queries, params, &exec, tel);
+            pass(tel);
         }
         best_secs = best_secs.min(start.elapsed().as_secs_f64().max(1e-9));
     }
@@ -469,7 +485,7 @@ mod tests {
             ..Default::default()
         };
         assert!(measure_qps(&index, &queries, &params) > 0.0);
-        assert!(measure_batched_qps(&index, &queries, &params) > 0.0);
+        assert!(measure_batched_qps(&index, &queries, &params, 2, &Telemetry::disabled()) > 0.0);
     }
 
     #[test]
@@ -491,8 +507,9 @@ mod tests {
             k: 5,
             ..Default::default()
         };
-        for threads in [0usize, 1, 2, 4] {
-            let qps = measure_batched_qps_with(&index, &queries, &params, threads);
+        for threads in [1usize, 2, 4] {
+            let qps =
+                measure_batched_qps(&index, &queries, &params, threads, &Telemetry::disabled());
             assert!(qps > 0.0, "threads={threads} gave qps={qps}");
         }
     }
@@ -517,7 +534,7 @@ mod tests {
             ..Default::default()
         };
         let tel = Telemetry::enabled();
-        let qps = measure_batched_qps_traced(&index, &queries, &params, 2, &tel);
+        let qps = measure_batched_qps(&index, &queries, &params, 2, &tel);
         assert!(qps > 0.0);
         let snap = tel.snapshot_json().unwrap();
         for key in [

@@ -6,6 +6,7 @@
 use anna_baseline::{cpu, exhaustive};
 use anna_data::{synth, Character, DatasetSpec};
 use anna_index::{IvfPqConfig, IvfPqIndex, SearchParams};
+use anna_telemetry::Telemetry;
 
 fn main() {
     println!("calibrating on this host (release build required for meaningful numbers)\n");
@@ -40,14 +41,23 @@ fn main() {
         k: 100,
         ..Default::default()
     };
-    println!("\nmeasured IVF-PQ search (N=50k, D=32, W=8, k=100):");
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    println!("\nmeasured IVF-PQ search (N=50k, D=32, W=8, k=100, {threads} threads):");
     println!(
         "  query-major: {:.0} QPS",
         cpu::measure_qps(&index, &ds.queries, &params)
     );
     println!(
         "  cluster-major (Faiss16-like): {:.0} QPS",
-        cpu::measure_batched_qps(&index, &ds.queries, &params)
+        cpu::measure_batched_qps(
+            &index,
+            &ds.queries,
+            &params,
+            threads,
+            &Telemetry::disabled()
+        )
     );
 
     println!("\nmeasured exhaustive search (N=50k, D=32, k=100):");

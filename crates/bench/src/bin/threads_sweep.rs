@@ -1,6 +1,6 @@
 //! Measures batched QPS of the parallel cluster-major engine at worker
 //! counts 1/2/4/8 and writes a JSON report. Every point is checked to
-//! return bit-identical neighbors to the serial schedule, and the
+//! return bit-identical neighbors to the serial query-major oracle, and the
 //! process exits non-zero if any point diverges — CI treats a
 //! determinism break as a hard failure, not a footnote in a report.
 //!

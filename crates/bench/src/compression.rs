@@ -72,7 +72,7 @@ pub fn run_for(dataset: PaperDataset, scale: &Scale) -> Compression {
                     seed: scale.seed,
                 },
             );
-            let results = index.search_batch(&data.queries, &params);
+            let results = crate::harness::batch_results(&index, &data.queries, &params);
             rows.push(CompressionRow {
                 dataset: dataset.name().to_string(),
                 config: name.to_string(),

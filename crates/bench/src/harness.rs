@@ -4,7 +4,10 @@
 use anna_baseline::{CpuModel, GpuModel};
 use anna_core::{engine::analytic, scale_out_qps, AnnaConfig, BatchWorkload, ScmAllocation};
 use anna_data::{recall, synth, ClusterSizeModel, PaperDataset};
-use anna_index::{IvfPqConfig, IvfPqIndex, SearchParams};
+use anna_engine::{run_pipeline, PlanOptions, QuerySpec};
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
+use anna_telemetry::Telemetry;
+use anna_vector::{Neighbor, VectorSet};
 use serde::{Deserialize, Serialize};
 
 use crate::configs::{Platform, SearchConfig};
@@ -184,7 +187,7 @@ impl PlotContext {
             k: self.scale.recall_y,
             ..Default::default()
         };
-        let results = model.index.search_batch(&self.data.queries, &params);
+        let results = batch_results(&model.index, &self.data.queries, &params);
         recall::recall_x_at_y(&self.gt, &results, self.scale.recall_y)
     }
 
@@ -328,6 +331,37 @@ pub fn run_plot(dataset: PaperDataset, compression: u32, scale: &Scale) -> Plot 
         series,
         exhaustive_qps,
     }
+}
+
+/// Runs `queries` as one batch through the cluster-major engine's
+/// verified pipeline on every available core. Results are bit-identical
+/// to per-query [`IvfPqIndex::search`].
+///
+/// # Panics
+///
+/// Panics if the batch's measured traffic differs from its prediction.
+pub fn batch_results(
+    index: &IvfPqIndex,
+    queries: &VectorSet,
+    params: &SearchParams,
+) -> Vec<Vec<Neighbor>> {
+    let spec = QuerySpec {
+        k: params.k,
+        scope: params.nprobe,
+    };
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let (_, _, run) = run_pipeline(
+        &BatchedScan::new(index),
+        queries,
+        &spec,
+        &PlanOptions::default(),
+        threads,
+        &Telemetry::disabled(),
+    )
+    .expect("batched scan: predicted traffic must equal measured");
+    run.results
 }
 
 /// Writes a JSON report into `reports/` under the workspace root.

@@ -26,10 +26,9 @@
 
 use std::time::Instant;
 
-use anna_index::{
-    BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision, SearchParams,
-};
-use anna_plan::{PlanParams, TrafficModel};
+use anna_engine::{plan_batch, PlanOptions, QuerySpec, SearchEngine};
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision};
+use anna_plan::EnginePlan;
 use anna_telemetry::Telemetry;
 use anna_vector::{exact, Metric, Neighbor, VectorSet};
 
@@ -208,39 +207,39 @@ pub fn run(db_n: usize, nq_fine: usize, nq_coarse: usize, targets: &[f64]) -> Re
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let params = SearchParams {
-        nprobe: 6,
-        k: K,
-        ..Default::default()
-    };
+    let spec = QuerySpec { k: K, scope: 6 };
     let scan = BatchedScan::with_rerank_db(&index, &data);
-    let model = TrafficModel::new(PlanParams::default());
     let tel = Telemetry::disabled();
+    // Plans and prices one sweep point, then times its execution alone.
+    let measure = |rerank: Option<RerankPolicy>| {
+        let plan = plan_batch(&scan, &qs, &spec, &PlanOptions { rerank });
+        let predicted = scan.price(&plan);
+        let start = Instant::now();
+        let run = scan.execute(&qs, &plan, threads, &tel);
+        let secs = start.elapsed().as_secs_f64().max(1e-9);
+        let traffic_match = scan.verify(&predicted, None, &run.measured).is_ok();
+        let EnginePlan::ClusterMajor { plan, .. } = plan else {
+            unreachable!("the batch engine plans cluster-major")
+        };
+        (plan.rerank, predicted, run, traffic_match, secs)
+    };
     let mut points = Vec::new();
 
     // Single-phase baseline: the first-pass kernels alone.
     {
-        let workload = scan.workload(&qs, &params);
-        let plan = scan.default_plan(&qs, &params);
-        let predicted = model.price(&workload, &plan);
-        let start = Instant::now();
-        let (results, stats) = scan.run_plan(&qs, &params, &plan, threads, &tel);
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
+        let (_, predicted, run, traffic_match, secs) = measure(None);
+        let results = &run.results;
         points.push(RerankPoint {
             label: "single".to_string(),
             mode: "single".to_string(),
             alpha: 1,
-            recall: recall_span(&results, &truth, 0, nq),
-            recall_fine: recall_span(&results, &truth, 0, nq_fine),
-            recall_coarse: recall_span(&results, &truth, nq_fine, nq),
+            recall: recall_span(results, &truth, 0, nq),
+            recall_fine: recall_span(results, &truth, 0, nq_fine),
+            recall_coarse: recall_span(results, &truth, nq_fine, nq),
             bytes_per_query: predicted.total() as f64 / nq as f64,
             rerank_bytes_per_query: 0.0,
             escalated: 0,
-            traffic_match: anna_testkit::traffic_match(
-                "rerank_sweep/single",
-                &stats.to_measured().components(&predicted),
-            )
-            .is_ok(),
+            traffic_match,
             qps: nq as f64 / secs,
         });
     }
@@ -252,36 +251,28 @@ pub fn run(db_n: usize, nq_fine: usize, nq_coarse: usize, targets: &[f64]) -> Re
     ];
     for &(mode, mode_name) in &modes {
         for alpha in [1usize, 2, 4, 8] {
-            let policy = RerankPolicy { mode, alpha };
-            let (first, plan) = scan.two_phase_plan(&qs, &params, &policy);
-            let workload = scan.workload(&qs, &first);
-            let predicted = model.price(&workload, &plan);
-            let stage = plan.rerank.as_ref().expect("two-phase plan carries stage");
+            let (stage, predicted, run, traffic_match, secs) =
+                measure(Some(RerankPolicy { mode, alpha }));
+            let stage = stage.expect("two-phase plan carries stage");
             let escalated = stage
                 .queries
                 .iter()
                 .filter(|q| q.precision == RerankPrecision::F32)
                 .count();
-            let start = Instant::now();
-            let (results, stats) = scan.run_plan(&qs, &first, &plan, threads, &tel);
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
+            let results = &run.results;
             points.push(RerankPoint {
                 label: format!("{mode_name}@a{alpha}"),
                 mode: mode_name.to_string(),
                 alpha,
-                recall: recall_span(&results, &truth, 0, nq),
-                recall_fine: recall_span(&results, &truth, 0, nq_fine),
-                recall_coarse: recall_span(&results, &truth, nq_fine, nq),
+                recall: recall_span(results, &truth, 0, nq),
+                recall_fine: recall_span(results, &truth, 0, nq_fine),
+                recall_coarse: recall_span(results, &truth, nq_fine, nq),
                 bytes_per_query: predicted.total() as f64 / nq as f64,
                 rerank_bytes_per_query: (predicted.rerank_candidate_bytes
                     + predicted.rerank_vector_bytes) as f64
                     / nq as f64,
                 escalated,
-                traffic_match: anna_testkit::traffic_match(
-                    &format!("rerank_sweep/{mode_name}@a{alpha}"),
-                    &stats.to_measured().components(&predicted),
-                )
-                .is_ok(),
+                traffic_match,
                 qps: nq as f64 / secs,
             });
         }
@@ -323,7 +314,7 @@ pub fn run(db_n: usize, nq_fine: usize, nq_coarse: usize, targets: &[f64]) -> Re
         db_n,
         queries: nq,
         fine_queries: nq_fine,
-        nprobe: params.nprobe,
+        nprobe: spec.scope,
         threads,
         points,
         frontier,

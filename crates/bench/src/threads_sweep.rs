@@ -16,11 +16,11 @@
 //! near 1.0 cannot be made faster by more software; that is the regime
 //! the paper builds ANNA for.
 
-use anna_baseline::cpu::{measure_batched_qps_traced, measure_stream_bandwidth};
+use anna_baseline::cpu::{measure_batched_qps, measure_stream_bandwidth};
 use anna_core::ScmAllocation;
 use anna_core::{Anna, AnnaConfig};
-use anna_index::{BatchExec, BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
-use anna_plan::{PlanParams, TrafficModel};
+use anna_engine::{plan_batch, run_pipeline, PlanOptions, QuerySpec, SearchEngine};
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
 use anna_telemetry::Telemetry;
 use anna_vector::{Metric, VectorSet};
 use serde::{Deserialize, Serialize};
@@ -36,7 +36,8 @@ pub struct ThreadPoint {
     pub qps: f64,
     /// Speedup over the serial point.
     pub speedup: f64,
-    /// Whether this point's neighbors were bit-identical to serial.
+    /// Whether this point's neighbors were bit-identical to the serial
+    /// query-major oracle.
     pub identical_to_serial: bool,
     /// Bytes/second the engine effectively moved: the traffic model's
     /// priced bytes for one batch times the measured batch rate.
@@ -78,7 +79,8 @@ fn dataset(dim: usize, n: usize, blobs: usize) -> VectorSet {
 /// Runs the sweep over `thread_counts` on a synthetic index.
 ///
 /// `db_n` vectors, batch of `batch` queries drawn from the database; each
-/// point re-checks the returned neighbors against the serial reference.
+/// point re-checks the returned neighbors against the serial query-major
+/// oracle ([`IvfPqIndex::search`]).
 pub fn run(db_n: usize, batch: usize, thread_counts: &[usize]) -> ThreadsSweep {
     run_traced(db_n, batch, thread_counts, &Telemetry::disabled())
 }
@@ -87,8 +89,9 @@ pub fn run(db_n: usize, batch: usize, thread_counts: &[usize]) -> ThreadsSweep {
 ///
 /// Each thread count records under a `threads<t>.` prefix on its own
 /// chrome-trace process lane (so the per-worker timelines of every point
-/// stay separable), and the timed pass bridges the engine's stage spans
-/// and `batch.*` traffic counters into the snapshot. After the sweep, the
+/// stay separable), and the timed passes bridge the pipeline's
+/// `engine.*` and `batch.*` stage spans and `plan.*` traffic counters
+/// into the snapshot. After the sweep, the
 /// same batch runs once through the functional accelerator under the
 /// `accel.` prefix, bridging the CPM/EFM/SCM module counters and P-heap
 /// spill/fill statistics into the same snapshot.
@@ -118,17 +121,19 @@ pub fn run_traced(
         ..Default::default()
     };
 
-    let scan = BatchedScan::new(&index);
-    let (serial_ref, _) = scan.run_serial(&queries, &params);
+    let serial_ref: Vec<_> = queries.iter().map(|q| index.search(q, &params)).collect();
 
-    // Price the exact plan the engine executes (the shaped default plan),
-    // so achieved bytes/sec below reflects what this schedule moves — not
-    // a generic estimate.
-    let traffic_bytes_per_batch = TrafficModel::new(PlanParams::default())
-        .price(
-            &scan.workload(&queries, &params),
-            &scan.default_plan(&queries, &params),
-        )
+    // Price the exact plan the engine executes (its shaped plan), so
+    // achieved bytes/sec below reflects what this schedule moves — not a
+    // generic estimate.
+    let scan = BatchedScan::new(&index);
+    let spec = QuerySpec {
+        k: params.k,
+        scope: params.nprobe,
+    };
+    let options = PlanOptions::default();
+    let traffic_bytes_per_batch = scan
+        .price(&plan_batch(&scan, &queries, &spec, &options))
         .total();
 
     let mut points = Vec::new();
@@ -137,18 +142,26 @@ pub fn run_traced(
         let point_tel = tel
             .scoped(&format!("threads{threads}"))
             .with_process(threads as u64);
-        let qps = measure_batched_qps_traced(&index, &queries, &params, threads, &point_tel);
+        let qps = measure_batched_qps(&index, &queries, &params, threads, &point_tel);
         if threads == 1 {
             serial_qps = Some(qps);
         }
-        let (got, _) = scan.run_with(&queries, &params, &BatchExec::with_threads(threads));
+        let (_, _, got) = run_pipeline(
+            &scan,
+            &queries,
+            &spec,
+            &options,
+            threads,
+            &Telemetry::disabled(),
+        )
+        .expect("predicted traffic must equal measured");
         let achieved = traffic_bytes_per_batch as f64 * qps / batch.max(1) as f64;
         let roofline = measure_stream_bandwidth(threads);
         points.push(ThreadPoint {
             threads,
             qps,
             speedup: 0.0, // filled below once the serial point is known
-            identical_to_serial: got == serial_ref,
+            identical_to_serial: got.results == serial_ref,
             achieved_bytes_per_sec: achieved,
             roofline_bytes_per_sec: roofline,
             achieved_vs_roofline: achieved / roofline.max(1.0),
@@ -332,8 +345,8 @@ mod tests {
         let snap = tel.snapshot_json().unwrap();
         for key in [
             // Per-stage timings, per thread count.
-            "\"threads1.batch.plan\"",
-            "\"threads2.batch.plan\"",
+            "\"threads1.engine.plan\"",
+            "\"threads2.engine.plan\"",
             "\"threads1.batch.merge\"",
             // Per-worker utilization of the 2-thread point.
             "\"threads2.worker0.busy_ns\"",

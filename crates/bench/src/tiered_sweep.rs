@@ -12,9 +12,9 @@
 //! batch the point asserts three things:
 //!
 //! 1. results are bit-identical to the single-shard in-RAM serial oracle,
-//! 2. measured [`anna_index::BatchStats`] equal the
-//!    [`anna_index::ShardedIndex::price_batch`] prediction component for
-//!    component, and
+//! 2. measured [`anna_index::BatchStats`] equal the sharded plan's
+//!    [`anna_plan::TrafficModel`] prediction component for component,
+//!    and
 //! 3. the measured [`anna_plan::TierTraffic`] split — bytes from cache vs
 //!    bytes from storage, hits, misses, admissions, evictions — equals
 //!    the plan-side prediction *exactly* (the cache simulator and the
@@ -27,8 +27,9 @@
 
 use std::time::Instant;
 
-use anna_index::{IvfPqConfig, IvfPqIndex, SearchParams, ShardedIndex};
-use anna_plan::TierTraffic;
+use anna_engine::{plan_batch, PlanOptions, QuerySpec, SearchEngine};
+use anna_index::{IvfPqConfig, IvfPqIndex, ShardedIndex};
+use anna_plan::{EnginePlan, PlanParams, ShardedBatchPlan, TierTraffic, TrafficModel};
 use anna_vector::{Metric, VectorSet};
 
 use crate::json::Json;
@@ -131,10 +132,17 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
             ..IvfPqConfig::default()
         },
     );
-    let params = SearchParams {
-        nprobe: NPROBE,
+    let spec = QuerySpec {
         k: K,
-        ..SearchParams::default()
+        scope: NPROBE,
+    };
+    // Plans a batch against the live shard state (pricing reads clones of
+    // the shard caches, so planning never advances them).
+    let plan = |sharded: &ShardedIndex, qs: &VectorSet| -> ShardedBatchPlan {
+        match plan_batch(sharded, qs, &spec, &PlanOptions::default()) {
+            EnginePlan::Sharded(plan) => plan,
+            other => unreachable!("sharded engine planned a {} plan", other.engine()),
+        }
     };
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -145,7 +153,7 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
     let oracle = ShardedIndex::from_index(&index, 1);
     let want: Vec<_> = qsets
         .iter()
-        .map(|qs| oracle.search_batch(qs, &params, 1).unwrap())
+        .map(|qs| oracle.try_execute(qs, &plan(&oracle, qs), 1).unwrap())
         .collect();
 
     let dir = std::env::temp_dir().join(format!("anna_tiered_sweep_{}", std::process::id()));
@@ -174,15 +182,19 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
         for (qs, (want_res, want_stats)) in qsets.iter().zip(&want) {
             // Each batch advances the shard caches; predict from the live
             // state immediately before running.
-            let predicted = tiered.price_batch(qs, &params);
             let start = Instant::now();
-            let (res, stats) = tiered.search_batch(qs, &params, threads).unwrap();
+            let batch_plan = plan(&tiered, qs);
+            let (res, stats) = tiered.try_execute(qs, &batch_plan, threads).unwrap();
             elapsed += start.elapsed().as_secs_f64();
             identical &= res == *want_res && stats.batch == want_stats.batch;
-            let measured = stats.to_measured();
-            let mut components = measured.components(&predicted.traffic);
-            components.extend(measured.tier_components(&predicted.tier));
-            traffic_match &= anna_testkit::traffic_match("tiered_sweep", &components).is_ok()
+            let predicted = TrafficModel::new(PlanParams::default()).price_sharded(&batch_plan);
+            traffic_match &= tiered
+                .verify(
+                    &predicted,
+                    Some(&batch_plan.predicted_tier),
+                    &stats.to_measured(),
+                )
+                .is_ok()
                 && stats.tier.total_code_bytes() == stats.batch.code_bytes;
             tier.accumulate(&stats.tier);
         }

@@ -9,7 +9,9 @@
 
 use anna_core::{engine::analytic, AnnaConfig, QueryWorkload, ScmAllocation, TrafficModel};
 use anna_data::PaperDataset;
-use anna_index::{BatchedScan, SearchParams};
+use anna_engine::{plan_batch, PlanOptions, QuerySpec, SearchEngine};
+use anna_index::BatchedScan;
+use anna_plan::EnginePlan;
 use anna_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 
@@ -87,23 +89,29 @@ pub fn run_for(datasets: &[PaperDataset], scale: &Scale) -> TrafficOpt {
                 // components (the headline invariant of the plan layer).
                 let model = ctx.model(cfg);
                 let scan = BatchedScan::new(&model.index);
-                let params = SearchParams {
-                    nprobe: w_paper.min(model.index.num_clusters()),
+                let spec = QuerySpec {
                     k: scale.recall_y,
-                    ..Default::default()
+                    scope: w_paper.min(model.index.num_clusters()),
                 };
-                let sw = scan.workload(&ctx.data.queries, &params);
+                let queries = &ctx.data.queries;
+                let EnginePlan::ClusterMajor { workload: sw, .. } =
+                    plan_batch(&scan, queries, &spec, &PlanOptions::default())
+                else {
+                    unreachable!("the batch engine plans cluster-major")
+                };
                 let pp = hw.plan_params();
                 let plan = anna_core::plan::plan(&pp, &sw, ScmAllocation::InterQuery);
                 let predicted = TrafficModel::new(pp).price(&sw, &plan);
-                let (_, stats) =
-                    scan.run_plan(&ctx.data.queries, &params, &plan, 2, &Telemetry::disabled());
+                conventional_bytes += sw.query_major_code_bytes();
+                let plan = EnginePlan::ClusterMajor { workload: sw, plan };
+                let stats = scan
+                    .execute(queries, &plan, 2, &Telemetry::disabled())
+                    .measured;
                 cluster_major_bytes += stats.code_bytes;
-                conventional_bytes += stats.conventional_code_bytes;
                 delta += predicted.code_bytes.abs_diff(stats.code_bytes)
                     + predicted
                         .cluster_meta_bytes
-                        .abs_diff(stats.clusters_fetched * anna_core::plan::CLUSTER_META_BYTES)
+                        .abs_diff(stats.cluster_meta_bytes)
                     + predicted.topk_spill_bytes.abs_diff(stats.topk_spill_bytes)
                     + predicted.topk_fill_bytes.abs_diff(stats.topk_fill_bytes);
 

@@ -240,6 +240,23 @@ pub trait SearchEngine {
     }
 }
 
+/// The workload and plan steps for one uniform batch: scopes every query
+/// with `spec` and plans the batch. Callers that price or execute a plan
+/// themselves (or swap in their own schedule) start here.
+pub fn plan_batch(
+    engine: &dyn SearchEngine,
+    queries: &VectorSet,
+    spec: &QuerySpec,
+    options: &PlanOptions,
+) -> EnginePlan {
+    let specs = vec![*spec; queries.len()];
+    let scopes: Vec<Vec<usize>> = queries
+        .iter()
+        .map(|q| engine.query_scope(q, spec))
+        .collect();
+    engine.plan(queries, &specs, &scopes, options)
+}
+
 /// Runs the full pipeline for one uniform batch: scope every query with
 /// `spec`, plan, price, execute at `threads`, verify, and emit `engine.*`
 /// telemetry. Returns the plan, the predicted report, and the run, or the
@@ -248,7 +265,7 @@ pub trait SearchEngine {
 /// Counters emitted (all under the `engine.` prefix):
 /// `engine.batches`, `engine.queries`, `engine.predicted_bytes`,
 /// `engine.code_bytes`, `engine.meta_bytes`, `engine.traffic_mismatches`,
-/// and the span `engine.execute`.
+/// and the spans `engine.plan` (scope + plan) and `engine.execute`.
 ///
 /// # Errors
 ///
@@ -262,12 +279,10 @@ pub fn run_pipeline(
     threads: usize,
     tel: &Telemetry,
 ) -> Result<(EnginePlan, TrafficReport, EngineRun), String> {
-    let specs = vec![*spec; queries.len()];
-    let scopes: Vec<Vec<usize>> = queries
-        .iter()
-        .map(|q| engine.query_scope(q, spec))
-        .collect();
-    let plan = engine.plan(queries, &specs, &scopes, options);
+    let plan = {
+        let _span = tel.span("engine.plan");
+        plan_batch(engine, queries, spec, options)
+    };
     let predicted = engine.price(&plan);
     let run = {
         let _span = tel.span("engine.execute");
@@ -392,6 +407,7 @@ mod tests {
         let snapshot = tel.snapshot_json().expect("enabled telemetry");
         assert!(snapshot.contains("engine.batches"), "{snapshot}");
         assert!(snapshot.contains("engine.predicted_bytes"), "{snapshot}");
+        assert!(snapshot.contains("engine.plan"), "{snapshot}");
     }
 
     #[test]

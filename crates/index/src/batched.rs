@@ -8,23 +8,21 @@
 //! single time and scored against every visiting query (at most `|C|`
 //! cluster loads per batch).
 //!
-//! The schedule itself is a shared-IR [`BatchPlan`] from `anna-plan` — the
-//! *same* plan the accelerator simulators execute — built here with
-//! [`BatchPlan::from_visitors`] for the plain software path, or supplied
-//! by the caller via [`BatchedScan::run_plan`] for exact cross-validation
-//! against the timing engines.
+//! [`BatchedScan`] runs batches only through the shared
+//! [`anna_engine::SearchEngine`] pipeline (see [`crate::engines`]):
+//! `plan()` builds the cost-shaped shared-IR [`anna_plan::BatchPlan`] — the
+//! *same* plan type the accelerator simulators execute — and `execute()`
+//! runs whatever cluster-major plan it is handed, including one a caller
+//! built with [`anna_plan::plan`] for exact cross-validation against the
+//! timing engines. [`IvfPqIndex::search`] is the serial oracle every batch
+//! result is bit-identical to.
 //!
 //! The paper observes Faiss16's CPU implementation uses this schedule,
 //! which is why it is the fastest CPU baseline; we use the same code for
 //! our CPU measurements and reuse its bookkeeping in the accelerator model.
 
 use crate::ivf::IvfPqIndex;
-use crate::lut::Lut;
-use crate::parallel::{self, BatchExec};
-use crate::SearchParams;
-use anna_plan::{BatchPlan, BatchWorkload, PlanParams, SearchShape, TileShaper};
-use anna_telemetry::Telemetry;
-use anna_vector::{Metric, Neighbor, TopK, VectorSet};
+use anna_vector::VectorSet;
 use serde::{Deserialize, Serialize};
 
 /// Memory-traffic bookkeeping for one batch, in the units of Figure 5.
@@ -77,12 +75,16 @@ impl BatchStats {
     }
 }
 
-/// Cluster-major batched scanner over an [`IvfPqIndex`].
+/// Cluster-major batched scanner over an [`IvfPqIndex`]: the
+/// [`anna_engine::SearchEngine`] for single-phase and two-phase IVF-PQ
+/// batches.
 ///
 /// # Example
 ///
 /// ```
+/// use anna_engine::{run_pipeline, PlanOptions, QuerySpec};
 /// use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
+/// use anna_telemetry::Telemetry;
 /// use anna_vector::{Metric, VectorSet};
 ///
 /// let data = VectorSet::from_fn(8, 256, |r, c| ((r * 13 + c * 5) % 23) as f32);
@@ -91,10 +93,13 @@ impl BatchStats {
 ///     ..IvfPqConfig::default()
 /// });
 /// let queries = data.gather(&[1, 2, 3]);
+/// let spec = QuerySpec { k: 2, scope: 3 };
+/// let (_, _, run) = run_pipeline(
+///     &BatchedScan::new(&index), &queries, &spec, &PlanOptions::default(), 2,
+///     &Telemetry::disabled(),
+/// ).expect("predicted == measured");
 /// let params = SearchParams { nprobe: 3, k: 2, ..Default::default() };
-/// let (results, stats) = BatchedScan::new(&index).run(&queries, &params);
-/// assert_eq!(results.len(), 3);
-/// assert!(stats.traffic_reduction() >= 1.0);
+/// assert_eq!(run.results[0], index.search(queries.row(0), &params));
 /// ```
 #[derive(Debug)]
 pub struct BatchedScan<'a> {
@@ -135,485 +140,11 @@ impl<'a> BatchedScan<'a> {
     pub fn rerank_db(&self) -> Option<&VectorSet> {
         self.rerank_db
     }
-
-    /// Resolves each query's cluster list and inverts it: entry `c` of the
-    /// result lists the queries visiting cluster `c` (the "array of arrays"
-    /// ANNA keeps in main memory, Section IV-A).
-    pub fn plan(&self, queries: &VectorSet, nprobe: usize) -> Vec<Vec<usize>> {
-        let mut visiting: Vec<Vec<usize>> = vec![Vec::new(); self.index.num_clusters()];
-        for (qi, q) in queries.iter().enumerate() {
-            for cid in self.index.filter_clusters(q, nprobe) {
-                visiting[cid].push(qi);
-            }
-        }
-        visiting
-    }
-
-    /// Describes this batch as a plan-layer [`BatchWorkload`]: the index's
-    /// shape and cluster sizes plus each query's visited-cluster list (in
-    /// filter rank order, exactly the clusters the software scan scores).
-    ///
-    /// Feed the result to [`anna_plan::plan`] and pass the plan back to
-    /// [`BatchedScan::run_plan`] to execute the *same* schedule the timing
-    /// engines price.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.dim() != index.dim()`.
-    pub fn workload(&self, queries: &VectorSet, params: &SearchParams) -> BatchWorkload {
-        assert_eq!(queries.dim(), self.index.dim(), "query dimension mismatch");
-        let book = self.index.codebook();
-        BatchWorkload {
-            shape: SearchShape {
-                d: self.index.dim(),
-                m: book.m(),
-                kstar: book.kstar(),
-                metric: self.index.metric(),
-                num_clusters: self.index.num_clusters(),
-                k: params.k,
-            },
-            cluster_sizes: self.index.cluster_sizes(),
-            visits: queries
-                .iter()
-                .map(|q| self.index.filter_clusters(q, params.nprobe))
-                .collect(),
-        }
-    }
-
-    /// Builds the default cost-shaped [`BatchPlan`] for this batch: one
-    /// tile per visited cluster, except that heavyweight clusters are
-    /// split by [`TileShaper`] so no crossbar tile dominates a round —
-    /// the merge/dispatch overhead of every split tile stays under the
-    /// shaper's bound, priced in the same bytes as the
-    /// [`anna_plan::TrafficModel`].
-    ///
-    /// The shaping is a pure function of the workload (never of the
-    /// runtime thread count), so the plan — and therefore the measured
-    /// [`BatchStats`] — is identical however many workers execute it.
-    /// This is the plan [`BatchedScan::run`] executes; it is exposed so
-    /// benchmarks can price exactly what the engine runs.
-    pub fn default_plan(&self, queries: &VectorSet, params: &SearchParams) -> BatchPlan {
-        let visiting = self.plan(queries, params.nprobe);
-        let bytes_per_vector = if self.index.num_clusters() > 0 {
-            self.index.cluster(0).codes.vector_bytes()
-        } else {
-            0
-        };
-        let record = PlanParams::default().topk_record_bytes as u64;
-        BatchPlan::shaped_from_visitors(
-            &visiting,
-            &self.index.cluster_sizes(),
-            bytes_per_vector,
-            &TileShaper::default(),
-            params.k as u64 * record,
-        )
-    }
-
-    /// Runs the batch and returns per-query results (query order, best
-    /// first) plus traffic statistics.
-    ///
-    /// Uses the default execution config: one worker per available core,
-    /// cost-shaped tiles. Results are bit-identical to running
-    /// [`IvfPqIndex::search`] per query, and to [`BatchedScan::run_serial`]
-    /// — only the schedule differs (see [`crate::parallel`] for why).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.dim() != index.dim()`.
-    pub fn run(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-    ) -> (Vec<Vec<Neighbor>>, BatchStats) {
-        self.run_with(queries, params, &BatchExec::default())
-    }
-
-    /// Runs the batch single-threaded — the reference schedule that the
-    /// parallel path must reproduce bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.dim() != index.dim()`.
-    pub fn run_serial(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-    ) -> (Vec<Vec<Neighbor>>, BatchStats) {
-        self.run_with(queries, params, &BatchExec::serial())
-    }
-
-    /// Runs the batch under an explicit execution config.
-    ///
-    /// The batch is planned with [`BatchPlan::from_visitors`] (one round
-    /// per visited cluster, split by `exec.queries_per_group`) and executed
-    /// by `exec.resolved_threads()` scoped workers; neighbors and
-    /// aggregated [`BatchStats`] are independent of the thread count and
-    /// group bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.dim() != index.dim()`.
-    pub fn run_with(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-        exec: &BatchExec,
-    ) -> (Vec<Vec<Neighbor>>, BatchStats) {
-        self.run_instrumented(queries, params, exec, &Telemetry::disabled())
-    }
-
-    /// [`BatchedScan::run_with`] with a telemetry sink.
-    ///
-    /// When `tel` is enabled, each pipeline stage is timed as a span —
-    /// `batch.plan` (cluster filtering + inversion + plan construction),
-    /// `batch.lut_build` (shared inner-product base tables), per-round
-    /// `batch.tile_scan` windows on a per-worker timeline, and
-    /// `batch.merge` (folding the per-worker accumulators) — and the
-    /// aggregate [`BatchStats`] are bridged into the snapshot as `plan.*`
-    /// counters. Telemetry only reads clocks and bumps atomics, so results
-    /// and stats are bit-identical to the uninstrumented run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.dim() != index.dim()`.
-    pub fn run_instrumented(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-        exec: &BatchExec,
-        tel: &Telemetry,
-    ) -> (Vec<Vec<Neighbor>>, BatchStats) {
-        assert_eq!(queries.dim(), self.index.dim(), "query dimension mismatch");
-        let plan = {
-            let _span = tel.span("batch.plan");
-            if exec.queries_per_group == 0 {
-                self.default_plan(queries, params)
-            } else {
-                let visiting = self.plan(queries, params.nprobe);
-                // The software engine runs whole query groups per worker
-                // (g = 1), and its per-query heaps hold the full k records
-                // requested — so a spill prices k records at the paper's
-                // packed record size.
-                let record = PlanParams::default().topk_record_bytes as u64;
-                BatchPlan::from_visitors(
-                    &visiting,
-                    &self.index.cluster_sizes(),
-                    exec.queries_per_group,
-                    params.k as u64 * record,
-                )
-            }
-        };
-        self.execute_plan(queries, params, &plan, exec.resolved_threads(), tel)
-    }
-
-    /// Executes a caller-supplied [`BatchPlan`] — the exact-cross-validation
-    /// entry point: hand this the same plan a timing engine prices and the
-    /// measured [`BatchStats`] bytes equal the predicted
-    /// [`anna_plan::TrafficModel`] bytes, component for component.
-    ///
-    /// The plan must have been built for this index and query set (e.g.
-    /// from [`BatchedScan::workload`] via [`anna_plan::plan`]): round
-    /// cluster ids index this index's clusters and round query ids index
-    /// `queries`. Results remain bit-identical to the serial software
-    /// schedule for any `threads` and any round splitting, because every
-    /// (query, cluster) visit appears in exactly one round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.dim() != index.dim()` or the plan references an
-    /// out-of-range cluster or query.
-    pub fn run_plan(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-        plan: &BatchPlan,
-        threads: usize,
-        tel: &Telemetry,
-    ) -> (Vec<Vec<Neighbor>>, BatchStats) {
-        assert_eq!(queries.dim(), self.index.dim(), "query dimension mismatch");
-        self.execute_plan(queries, params, plan, threads, tel)
-    }
-
-    /// Builds the two-phase (over-fetch + re-rank) plan for this batch:
-    /// the first pass's parameters (same knobs as `params` but a heap of
-    /// `policy.k_first(params.k)` candidates) and the default cost-shaped
-    /// plan with the [`anna_plan::RerankStage`] attached. `params.k` is
-    /// the *final* k.
-    ///
-    /// Feed both to [`BatchedScan::run_plan`] (or price the plan with
-    /// [`anna_plan::TrafficModel`] first — predicted bytes equal the
-    /// measured [`BatchStats`] exactly, re-rank components included).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.dim() != index.dim()` or `params.k == 0`.
-    pub fn two_phase_plan(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-        policy: &anna_plan::RerankPolicy,
-    ) -> (SearchParams, BatchPlan) {
-        assert!(params.k > 0, "k must be positive");
-        let first = SearchParams {
-            nprobe: params.nprobe,
-            k: policy.k_first(params.k),
-            lut_precision: params.lut_precision,
-        };
-        let workload = self.workload(queries, &first);
-        let record = PlanParams::default().topk_record_bytes as u64;
-        let plan = self
-            .default_plan(queries, &first)
-            .with_rerank(policy.stage(&workload, params.k, record));
-        (first, plan)
-    }
-
-    /// Runs the two-phase pipeline: the cheap encoded-code first pass
-    /// over-fetches `policy.k_first(params.k)` candidates per query, then
-    /// the re-rank stage rescores each query's survivors at the policy's
-    /// precision against the scanner's re-rank source and emits the final
-    /// `params.k`, best first.
-    ///
-    /// Requires a scanner built with [`BatchedScan::with_rerank_db`].
-    /// Results are bit-identical for any `threads` (see
-    /// [`crate::parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scanner has no re-rank source, dimensions mismatch,
-    /// or `params.k == 0`.
-    pub fn run_two_phase(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-        policy: &anna_plan::RerankPolicy,
-        exec: &BatchExec,
-        tel: &Telemetry,
-    ) -> (Vec<Vec<Neighbor>>, BatchStats) {
-        let (first, plan) = self.two_phase_plan(queries, params, policy);
-        self.run_plan(queries, &first, &plan, exec.resolved_threads(), tel)
-    }
-
-    fn execute_plan(
-        &self,
-        queries: &VectorSet,
-        params: &SearchParams,
-        plan: &BatchPlan,
-        threads: usize,
-        tel: &Telemetry,
-    ) -> (Vec<Vec<Neighbor>>, BatchStats) {
-        // Shared inner-product base tables (cluster-invariant) per query,
-        // built across the worker pool (each query's table is independent,
-        // so the fan-out is trivially deterministic); L2 tables are
-        // cluster-specific and built inside the round pipeline.
-        let ip_base: Option<Vec<Lut>> = {
-            let _span = tel.span("batch.lut_build");
-            match self.index.metric() {
-                Metric::InnerProduct => Some(parallel::build_ip_base(
-                    self.index,
-                    queries,
-                    params.lut_precision,
-                    threads,
-                )),
-                Metric::L2 => None,
-            }
-        };
-
-        let (merged, mut stats) = parallel::execute_rounds(
-            self.index,
-            queries,
-            params,
-            ip_base.as_deref(),
-            plan,
-            threads,
-            tel,
-        );
-
-        // Second phase: rescore each query's first-pass survivors at the
-        // stage's precision and keep the final k. The work items join the
-        // same self-scheduling queue discipline as the scan rounds, so
-        // serial == parallel stays bit-identical.
-        let results = match &plan.rerank {
-            Some(stage) => {
-                let db = self.rerank_db.expect(
-                    "plan carries a re-rank stage but the scanner has no re-rank source; \
-                     build it with BatchedScan::with_rerank_db",
-                );
-                let _span = tel.span("batch.rerank");
-                let (results, candidate_bytes, vector_bytes) = parallel::execute_rerank(
-                    db,
-                    queries,
-                    self.index.metric(),
-                    stage,
-                    merged,
-                    threads,
-                );
-                stats.rerank_candidate_bytes = candidate_bytes;
-                stats.rerank_vector_bytes = vector_bytes;
-                results
-            }
-            None => merged.into_iter().map(TopK::into_sorted_vec).collect(),
-        };
-
-        tel.counter_add("plan.queries", queries.len() as u64);
-        tel.counter_add("plan.clusters_fetched", stats.clusters_fetched);
-        tel.counter_add("plan.code_bytes", stats.code_bytes);
-        tel.counter_add("plan.query_cluster_visits", stats.query_cluster_visits);
-        tel.counter_add(
-            "plan.conventional_code_bytes",
-            stats.conventional_code_bytes,
-        );
-        tel.counter_add("plan.topk_spill_bytes", stats.topk_spill_bytes);
-        tel.counter_add("plan.topk_fill_bytes", stats.topk_fill_bytes);
-        tel.counter_add("plan.rerank_candidate_bytes", stats.rerank_candidate_bytes);
-        tel.counter_add("plan.rerank_vector_bytes", stats.rerank_vector_bytes);
-        (results, stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ivf::IvfPqConfig;
-    use crate::LutPrecision;
-
-    fn clustered(dim: usize, n: usize) -> VectorSet {
-        VectorSet::from_fn(dim, n, |r, c| {
-            let blob = (r % 8) as f32;
-            blob * 20.0 + ((r * 31 + c * 7) % 10) as f32 * 0.2
-        })
-    }
-
-    fn build(metric: Metric) -> (VectorSet, IvfPqIndex) {
-        let data = clustered(8, 600);
-        let cfg = IvfPqConfig {
-            metric,
-            num_clusters: 12,
-            m: 4,
-            kstar: 16,
-            ..IvfPqConfig::default()
-        };
-        let index = IvfPqIndex::build(&data, &cfg);
-        (data, index)
-    }
-
-    #[test]
-    fn batched_matches_query_major_l2() {
-        let (data, index) = build(Metric::L2);
-        let ids: Vec<usize> = (0..40).map(|i| i * 13 % 600).collect();
-        let queries = data.gather(&ids);
-        let params = SearchParams {
-            nprobe: 4,
-            k: 6,
-            lut_precision: LutPrecision::F32,
-        };
-        let (batched, _) = BatchedScan::new(&index).run(&queries, &params);
-        for (bi, &row) in ids.iter().enumerate() {
-            let single = index.search(data.row(row), &params);
-            assert_eq!(batched[bi], single, "query row {row} diverged");
-        }
-    }
-
-    #[test]
-    fn batched_matches_query_major_inner_product() {
-        let (data, index) = build(Metric::InnerProduct);
-        let ids: Vec<usize> = vec![5, 100, 250, 599];
-        let queries = data.gather(&ids);
-        let params = SearchParams {
-            nprobe: 5,
-            k: 4,
-            lut_precision: LutPrecision::F32,
-        };
-        let (batched, _) = BatchedScan::new(&index).run(&queries, &params);
-        for (bi, &row) in ids.iter().enumerate() {
-            assert_eq!(batched[bi], index.search(data.row(row), &params));
-        }
-    }
-
-    #[test]
-    fn traffic_never_exceeds_conventional() {
-        let (data, index) = build(Metric::L2);
-        let queries = data.gather(&(0..64).collect::<Vec<_>>());
-        let params = SearchParams {
-            nprobe: 6,
-            k: 3,
-            lut_precision: LutPrecision::F32,
-        };
-        let (_, stats) = BatchedScan::new(&index).run(&queries, &params);
-        assert!(stats.code_bytes <= stats.conventional_code_bytes);
-        assert!(stats.clusters_fetched as usize <= index.num_clusters());
-        assert_eq!(stats.query_cluster_visits, 64 * 6);
-        assert!(stats.traffic_reduction() >= 1.0);
-    }
-
-    #[test]
-    fn traffic_reduction_grows_with_batch_size() {
-        let (data, index) = build(Metric::L2);
-        let params = SearchParams {
-            nprobe: 6,
-            k: 3,
-            lut_precision: LutPrecision::F32,
-        };
-        let small = data.gather(&(0..4).collect::<Vec<_>>());
-        let large = data.gather(&(0..128).collect::<Vec<_>>());
-        let (_, s1) = BatchedScan::new(&index).run(&small, &params);
-        let (_, s2) = BatchedScan::new(&index).run(&large, &params);
-        assert!(
-            s2.traffic_reduction() >= s1.traffic_reduction(),
-            "{} vs {}",
-            s2.traffic_reduction(),
-            s1.traffic_reduction()
-        );
-    }
-
-    #[test]
-    fn plan_inverts_cluster_lists() {
-        let (data, index) = build(Metric::L2);
-        let queries = data.gather(&[0, 8, 16]);
-        let plan = BatchedScan::new(&index).plan(&queries, 3);
-        // Every query appears in exactly nprobe cluster lists.
-        let mut counts = [0usize; 3];
-        for qs in &plan {
-            for &q in qs {
-                counts[q] += 1;
-            }
-        }
-        assert_eq!(counts, [3, 3, 3]);
-    }
-
-    #[test]
-    fn workload_inverts_to_the_same_visitor_lists() {
-        let (data, index) = build(Metric::L2);
-        let queries = data.gather(&[0, 8, 16, 24]);
-        let params = SearchParams {
-            nprobe: 3,
-            k: 2,
-            lut_precision: LutPrecision::F32,
-        };
-        let scan = BatchedScan::new(&index);
-        let w = scan.workload(&queries, &params);
-        assert_eq!(w.b(), 4);
-        assert_eq!(w.shape.m, 4);
-        assert_eq!(w.shape.kstar, 16);
-        assert_eq!(w.visitors_per_cluster(), scan.plan(&queries, params.nprobe));
-    }
-
-    #[test]
-    fn topk_spill_accounting_prices_round_crossings() {
-        // With one round per visited cluster (group bound 0), a query
-        // probing W clusters crosses W-1 round boundaries, each worth a
-        // k-record spill and fill at 5 B per record.
-        let (data, index) = build(Metric::L2);
-        let queries = data.gather(&(0..16).collect::<Vec<_>>());
-        let params = SearchParams {
-            nprobe: 4,
-            k: 3,
-            lut_precision: LutPrecision::F32,
-        };
-        let (_, stats) = BatchedScan::new(&index).run_serial(&queries, &params);
-        let expected = 16 * (4 - 1) * (3 * 5) as u64;
-        assert_eq!(stats.topk_spill_bytes, expected);
-        assert_eq!(stats.topk_fill_bytes, expected);
-    }
 
     #[test]
     fn traffic_reduction_reproduces_paper_example() {
@@ -686,84 +217,5 @@ mod tests {
                 rerank_vector_bytes: 300,
             }
         );
-    }
-
-    #[test]
-    fn serial_and_parallel_agree_on_results_and_stats() {
-        let (data, index) = build(Metric::L2);
-        let queries = data.gather(&(0..48).collect::<Vec<_>>());
-        let params = SearchParams {
-            nprobe: 5,
-            k: 4,
-            lut_precision: LutPrecision::F32,
-        };
-        let scan = BatchedScan::new(&index);
-        let (serial, serial_stats) = scan.run_serial(&queries, &params);
-        for threads in [2usize, 4, 8] {
-            let (par, par_stats) =
-                scan.run_with(&queries, &params, &BatchExec::with_threads(threads));
-            assert_eq!(par, serial, "{threads} threads diverged");
-            assert_eq!(par_stats, serial_stats, "{threads} threads stats diverged");
-        }
-    }
-
-    #[test]
-    fn query_group_bound_does_not_change_results_or_stats() {
-        let (data, index) = build(Metric::InnerProduct);
-        let queries = data.gather(&(0..32).collect::<Vec<_>>());
-        let params = SearchParams {
-            nprobe: 4,
-            k: 3,
-            lut_precision: LutPrecision::F32,
-        };
-        let scan = BatchedScan::new(&index);
-        let (reference, ref_stats) = scan.run_serial(&queries, &params);
-        for group in [1usize, 2, 5] {
-            let exec = BatchExec {
-                threads: 4,
-                queries_per_group: group,
-            };
-            let (got, stats) = scan.run_with(&queries, &params, &exec);
-            assert_eq!(got, reference, "group bound {group} diverged");
-            assert_eq!(stats, ref_stats, "group bound {group} stats diverged");
-        }
-    }
-
-    #[test]
-    fn run_plan_matches_run_with_for_the_same_tiling() {
-        let (data, index) = build(Metric::L2);
-        let queries = data.gather(&(0..24).collect::<Vec<_>>());
-        let params = SearchParams {
-            nprobe: 4,
-            k: 3,
-            lut_precision: LutPrecision::F32,
-        };
-        let scan = BatchedScan::new(&index);
-        let (reference, _) = scan.run_serial(&queries, &params);
-        let w = scan.workload(&queries, &params);
-        let plan = anna_plan::plan(
-            &PlanParams::default(),
-            &w,
-            anna_plan::ScmAllocation::InterQuery,
-        );
-        for threads in [1usize, 2, 4, 8] {
-            let (got, stats) =
-                scan.run_plan(&queries, &params, &plan, threads, &Telemetry::disabled());
-            assert_eq!(got, reference, "{threads} threads diverged from serial");
-            assert_eq!(stats.clusters_fetched, plan.clusters_fetched());
-            let (fills, spills) = plan.total_topk_units();
-            assert_eq!(stats.topk_fill_bytes, fills * plan.spill_unit_bytes);
-            assert_eq!(stats.topk_spill_bytes, spills * plan.spill_unit_bytes);
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_fine() {
-        let (_, index) = build(Metric::L2);
-        let queries = VectorSet::zeros(8, 0);
-        let params = SearchParams::default();
-        let (res, stats) = BatchedScan::new(&index).run(&queries, &params);
-        assert!(res.is_empty());
-        assert_eq!(stats.clusters_fetched, 0);
     }
 }

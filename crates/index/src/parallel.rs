@@ -1,5 +1,7 @@
-//! The deterministic worker pool behind [`BatchedScan`] — an overlapped,
-//! double-buffered software mirror of ANNA's EFM/SCM pipeline.
+//! The deterministic worker pool behind [`BatchedScan`]'s
+//! `SearchEngine::execute` — an overlapped, double-buffered software
+//! mirror of ANNA's EFM/SCM pipeline. It runs the one cluster-major plan
+//! it is handed; it never builds a schedule of its own.
 //!
 //! ANNA's batch engine assigns work to its 16 similarity-computation
 //! modules (SCMs) through a crossbar, and hides lookup-table construction
@@ -64,50 +66,6 @@ use anna_vector::{metric, Metric, Neighbor, TopK, VectorSet};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
-
-/// Execution knobs for the parallel batch engine.
-///
-/// The default (`threads: 0, queries_per_group: 0`) runs one worker per
-/// available core with cost-shaped tiles (see
-/// [`anna_plan::TileShaper`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchExec {
-    /// Worker threads; `0` means one per available core.
-    pub threads: usize,
-    /// Query-group bound per round (`0` = cost-shaped tiles via
-    /// [`anna_plan::TileShaper`]). An explicit bound mirrors the
-    /// accelerator's fixed `N_SCM / g` grouping.
-    pub queries_per_group: usize,
-}
-
-impl BatchExec {
-    /// The single-threaded reference configuration.
-    pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            queries_per_group: 0,
-        }
-    }
-
-    /// A parallel configuration with an explicit thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            queries_per_group: 0,
-        }
-    }
-
-    /// The concrete worker count (`threads`, or the core count when 0).
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-}
 
 /// Per-worker accumulator: one optional [`TopK`] per batch query plus the
 /// worker's share of the traffic statistics, a per-query count of the
@@ -800,13 +758,6 @@ pub(crate) fn execute_rerank(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_exec_resolves_thread_counts() {
-        assert_eq!(BatchExec::serial().resolved_threads(), 1);
-        assert_eq!(BatchExec::with_threads(3).resolved_threads(), 3);
-        assert!(BatchExec::default().resolved_threads() >= 1);
-    }
 
     fn round(cluster: usize, nq: usize) -> Round {
         Round {

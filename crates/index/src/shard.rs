@@ -9,34 +9,37 @@
 //! in-RAM cluster array or a [`TieredIndex`] (v2 segment behind a
 //! cluster-granularity cache; see [`crate::tiered`]).
 //!
-//! Search runs shard-parallel on a scoped worker pool: workers claim whole
-//! shards off an atomic cursor and scan each shard *serially* in ascending
-//! local-cluster order, so per-shard work — including every cache
-//! admission/eviction decision of a tiered shard — is a deterministic
-//! function of the batch, never of thread scheduling. Per-query partial
-//! top-k heaps are then folded shard-by-shard with [`TopK::merge`], whose
-//! total order (score descending, lower id on ties) makes the fold
-//! order-insensitive: results are bit-identical to a single-shard serial
-//! oracle at every shard count and every thread count.
+//! A batch runs through the [`anna_engine::SearchEngine`] impl (see
+//! [`crate::engines`]): `plan()` resolves each query's global cluster
+//! list once and splits it into per-shard visitor lists, and execution
+//! ([`ShardedIndex::try_execute`]) walks exactly those lists — it never
+//! re-derives them. Execution runs shard-parallel on a scoped worker
+//! pool: workers claim whole shards off an atomic cursor and scan each
+//! shard *serially* in ascending local-cluster order, so per-shard work —
+//! including every cache admission/eviction decision of a tiered shard —
+//! is a deterministic function of the plan, never of thread scheduling.
+//! Per-query partial top-k heaps are then folded shard-by-shard with
+//! [`TopK::merge`], whose total order (score descending, lower id on
+//! ties) makes the fold order-insensitive: results are bit-identical to a
+//! single-shard serial oracle at every shard count and every thread
+//! count.
 //!
 //! Traffic accounting mirrors the plan layer's unbounded
 //! [`BatchPlan::from_visitors`](anna_plan::BatchPlan::from_visitors)
 //! schedule: a query visiting `W_sq` clusters inside shard `s` pays
 //! `W_sq − 1` spill/fill units there, and the global merge pays `S_q − 1`
 //! more (one per extra contributing shard), which telescopes to the
-//! single-shard `W_q − 1` — so [`ShardedIndex::price_batch`]'s prediction
-//! equals [`ShardedIndex::search_batch`]'s measurement component for
-//! component, storage tier included.
+//! single-shard `W_q − 1` — so the plan's
+//! [`TrafficModel::price_sharded`] prediction equals the measurement
+//! component for component, storage tier included.
 
 use crate::batched::BatchStats;
 use crate::ivf::{Cluster, IvfPqIndex};
 use crate::kernels::{self, KernelDispatch, ScanScratch};
-use crate::lut::Lut;
+use crate::lut::{Lut, LutPrecision};
 use crate::tiered::TieredIndex;
-use crate::SearchParams;
 use anna_plan::{
     BatchPlan, BatchWorkload, PlanParams, SearchShape, ShardedBatchPlan, TierTraffic, TrafficModel,
-    TrafficReport,
 };
 use anna_quant::codes::CodeWidth;
 use anna_quant::kmeans::KMeans;
@@ -57,19 +60,6 @@ pub struct ShardedStats {
     pub batch: BatchStats,
     /// Bytes-from-cache vs bytes-from-storage split and cache telemetry,
     /// summed across tiered shards.
-    pub tier: TierTraffic,
-}
-
-/// Predicted traffic of one sharded batch, from
-/// [`ShardedIndex::price_batch`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ShardedPrediction {
-    /// The assembled global traffic report (per-shard
-    /// [`TrafficModel::price`] components summed; results and the merge's
-    /// spill/fill counted once globally).
-    pub traffic: TrafficReport,
-    /// Predicted tier split, from replaying each tiered shard's cache
-    /// simulation against the shard's plan.
     pub tier: TierTraffic,
 }
 
@@ -332,19 +322,9 @@ impl ShardedIndex {
 
     /// Per-shard visitor lists for a batch: entry `[s][lc]` lists the
     /// queries visiting shard `s`'s local cluster `lc`, ascending query
-    /// order (the same inversion [`crate::BatchedScan::plan`] builds,
-    /// split by shard).
-    fn shard_visitors(&self, queries: &VectorSet, nprobe: usize) -> Vec<Vec<Vec<usize>>> {
-        let scopes: Vec<Vec<usize>> = queries
-            .iter()
-            .map(|q| self.filter_clusters(q, nprobe))
-            .collect();
-        self.shard_visitors_from(&scopes)
-    }
-
-    /// The same inversion from already-resolved per-query global cluster
-    /// lists (the engine layer's `query_scope` output).
-    fn shard_visitors_from(&self, scopes: &[Vec<usize>]) -> Vec<Vec<Vec<usize>>> {
+    /// order, from resolved per-query global cluster lists (the engine
+    /// layer's `query_scope` output).
+    fn shard_visitors(&self, scopes: &[Vec<usize>]) -> Vec<Vec<Vec<usize>>> {
         let n = self.shards.len();
         let mut visiting: Vec<Vec<Vec<usize>>> = self
             .shards
@@ -359,53 +339,17 @@ impl ShardedIndex {
         visiting
     }
 
-    /// The software spill/fill unit: a full `k`-record heap at the
-    /// paper's packed 5 B records (same pricing as the batch engine).
-    fn spill_unit(&self, params: &SearchParams) -> u64 {
-        params.k as u64 * PlanParams::default().topk_record_bytes as u64
-    }
-
-    /// Prices the batch *before* execution: per shard, the unbounded
-    /// cluster-major plan is priced by [`TrafficModel`] (tier-split
-    /// against a clone of the shard's live cache state), then assembled
-    /// globally — component sums, plus one `S_q − 1` merge spill/fill per
-    /// query, with results counted once. The prediction equals what
-    /// [`ShardedIndex::search_batch`] will measure, exactly, provided no
-    /// other batch runs against the tiered shards in between.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.dim() != self.dim()`.
-    pub fn price_batch(&self, queries: &VectorSet, params: &SearchParams) -> ShardedPrediction {
-        assert_eq!(queries.dim(), self.dim, "query dimension mismatch");
-        let scopes: Vec<Vec<usize>> = queries
-            .iter()
-            .map(|q| self.filter_clusters(q, params.nprobe))
-            .collect();
-        let plan = self.engine_batch_plan(&scopes, params.k, params.nprobe);
-        let traffic = TrafficModel::new(PlanParams::default()).price_sharded(&plan);
-        ShardedPrediction {
-            traffic,
-            tier: plan.predicted_tier,
-        }
-    }
-
     /// Assembles the sharded engine's plan IR from resolved per-query
     /// global cluster lists: per shard, the local workload and unbounded
     /// cluster-major schedule; globally, the cross-shard merge units and
     /// the tier split replayed against *clones* of each tiered shard's
-    /// live cache state (so planning never advances the caches).
-    /// [`TrafficModel::price_sharded`] over the result reproduces the
-    /// [`ShardedIndex::price_batch`] prediction exactly.
-    pub(crate) fn engine_batch_plan(
-        &self,
-        scopes: &[Vec<usize>],
-        k: usize,
-        nprobe: usize,
-    ) -> ShardedBatchPlan {
+    /// live cache state (so planning never advances the caches). The
+    /// spill/fill unit is a full `k`-record heap at the paper's packed
+    /// 5 B records (same pricing as the batch engine).
+    pub(crate) fn engine_batch_plan(&self, scopes: &[Vec<usize>], k: usize) -> ShardedBatchPlan {
         let unit = k as u64 * PlanParams::default().topk_record_bytes as u64;
         let model = TrafficModel::new(PlanParams::default());
-        let visiting = self.shard_visitors_from(scopes);
+        let visiting = self.shard_visitors(scopes);
         let b = scopes.len();
         let mut contributing = vec![0u64; b];
         for sv in &visiting {
@@ -458,16 +402,16 @@ impl ShardedIndex {
             spill_unit_bytes: unit,
             b,
             k,
-            nprobe,
             predicted_tier,
         }
     }
 
-    /// Searches a batch shard-parallel: global filtering, per-shard
-    /// serial cluster-major scans on up to `threads` scoped workers (each
-    /// shard scanned by exactly one worker), then a global
-    /// [`TopK::merge`] fold per query. Results and stats are bit-identical
-    /// for any `threads ≥ 1` and equal the single-shard serial oracle's.
+    /// Executes a sharded plan (as built by the engine's `plan()`) on up
+    /// to `threads` scoped workers: each shard's local visitor lists —
+    /// exactly those of `plan.per_shard` — are scanned serially by one
+    /// worker, then every query's partials fold into a global
+    /// [`TopK::merge`]. Results and stats are bit-identical for any
+    /// `threads ≥ 1` and equal the single-shard serial oracle's.
     ///
     /// # Errors
     ///
@@ -475,18 +419,38 @@ impl ShardedIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `queries.dim() != self.dim()` or `threads == 0`.
-    pub fn search_batch(
+    /// Panics if `queries.dim() != self.dim()`, `threads == 0`, or the
+    /// plan was not built for this shard set and batch.
+    pub fn try_execute(
         &self,
         queries: &VectorSet,
-        params: &SearchParams,
+        plan: &ShardedBatchPlan,
         threads: usize,
     ) -> io::Result<(Vec<Vec<Neighbor>>, ShardedStats)> {
         assert_eq!(queries.dim(), self.dim, "query dimension mismatch");
         assert!(threads > 0, "at least one worker required");
+        assert_eq!(plan.b, queries.len(), "plan built for another batch");
+        assert_eq!(
+            plan.per_shard.len(),
+            self.shards.len(),
+            "plan built for another shard count"
+        );
         let b = queries.len();
-        let visiting = self.shard_visitors(queries, params.nprobe);
-        let unit = self.spill_unit(params);
+        let k = plan.k;
+        let unit = plan.spill_unit_bytes;
+        let visiting: Vec<Vec<Vec<usize>>> = plan
+            .per_shard
+            .iter()
+            .zip(&self.shards)
+            .map(|((workload, _), sh)| {
+                assert_eq!(
+                    workload.cluster_sizes.len(),
+                    sh.num_clusters(),
+                    "plan built for another shard layout"
+                );
+                workload.visitors_per_cluster()
+            })
+            .collect();
 
         // Shared inner-product base tables (cluster-invariant) per query;
         // L2 tables are cluster-specific and built inside the shard scan.
@@ -494,7 +458,7 @@ impl ShardedIndex {
             Metric::InnerProduct => Some(
                 queries
                     .iter()
-                    .map(|q| Lut::build_ip(q, &self.codebook, params.lut_precision))
+                    .map(|q| Lut::build_ip(q, &self.codebook, LutPrecision::F32))
                     .collect(),
             ),
             Metric::L2 => None,
@@ -520,7 +484,7 @@ impl ShardedIndex {
                         match self.scan_shard(
                             s,
                             queries,
-                            params,
+                            k,
                             &visiting[s],
                             ip_base.as_deref(),
                             dispatch,
@@ -549,7 +513,7 @@ impl ShardedIndex {
         // keeps the fold itself deterministic too). Each query pays one
         // spill/fill unit per contributing shard beyond its first.
         let mut stats = ShardedStats::default();
-        let mut merged: Vec<TopK> = (0..b).map(|_| TopK::new(params.k)).collect();
+        let mut merged: Vec<TopK> = (0..b).map(|_| TopK::new(k)).collect();
         let mut contributions = vec![0u64; b];
         for (_, out) in &outputs {
             stats.batch.accumulate(&out.batch);
@@ -576,7 +540,7 @@ impl ShardedIndex {
         &self,
         s: usize,
         queries: &VectorSet,
-        params: &SearchParams,
+        k: usize,
         visiting: &[Vec<usize>],
         ip_base: Option<&[Lut]>,
         dispatch: KernelDispatch,
@@ -615,19 +579,16 @@ impl ShardedIndex {
             };
             for &qi in qs {
                 in_shard_visits[qi] += 1;
-                let heap = heaps[qi].get_or_insert_with(|| TopK::new(params.k));
+                let heap = heaps[qi].get_or_insert_with(|| TopK::new(k));
                 if cluster.is_empty() {
                     continue;
                 }
                 let q = queries.row(qi);
                 let lut = match ip_base {
                     Some(base) => base[qi].with_bias(metric::dot(q, self.centroids.row(g))),
-                    None => Lut::build_l2(
-                        q,
-                        self.centroids.row(g),
-                        &self.codebook,
-                        params.lut_precision,
-                    ),
+                    None => {
+                        Lut::build_l2(q, self.centroids.row(g), &self.codebook, LutPrecision::F32)
+                    }
                 };
                 kernels::scan_with(&cluster.codes, &cluster.ids, &lut, heap, dispatch, scratch);
             }
@@ -661,7 +622,9 @@ struct ShardScan {
 mod tests {
     use super::*;
     use crate::ivf::IvfPqConfig;
-    use crate::LutPrecision;
+    use crate::SearchParams;
+    use anna_engine::{plan_batch, PlanOptions, QuerySpec};
+    use anna_plan::EnginePlan;
     use anna_quant::codes::PackedCodes;
     use std::sync::atomic::AtomicU64;
 
@@ -705,6 +668,30 @@ mod tests {
         }
     }
 
+    /// Plans `queries` through the engine's own scopes.
+    fn plan(sharded: &ShardedIndex, queries: &VectorSet, p: &SearchParams) -> ShardedBatchPlan {
+        let spec = QuerySpec {
+            k: p.k,
+            scope: p.nprobe,
+        };
+        match plan_batch(sharded, queries, &spec, &PlanOptions::default()) {
+            EnginePlan::Sharded(plan) => plan,
+            other => panic!("sharded engine planned a {} plan", other.engine()),
+        }
+    }
+
+    /// Plans and executes `queries` on `threads` workers.
+    fn search(
+        sharded: &ShardedIndex,
+        queries: &VectorSet,
+        p: &SearchParams,
+        threads: usize,
+    ) -> (Vec<Vec<Neighbor>>, ShardedStats) {
+        sharded
+            .try_execute(queries, &plan(sharded, queries, p), threads)
+            .unwrap()
+    }
+
     #[test]
     fn sharded_matches_query_major_search() {
         for metric in [Metric::L2, Metric::InnerProduct] {
@@ -713,7 +700,7 @@ mod tests {
             let p = params();
             for shards in [1usize, 2, 3, 5] {
                 let sharded = ShardedIndex::from_index(&index, shards);
-                let (results, _) = sharded.search_batch(&queries, &p, 4).unwrap();
+                let (results, _) = search(&sharded, &queries, &p, 4);
                 for (qi, q) in queries.iter().enumerate() {
                     assert_eq!(
                         results[qi],
@@ -731,11 +718,11 @@ mod tests {
         let queries = data.gather(&(0..32).collect::<Vec<_>>());
         let p = params();
         let oracle = ShardedIndex::from_index(&index, 1);
-        let (want, want_stats) = oracle.search_batch(&queries, &p, 1).unwrap();
+        let (want, want_stats) = search(&oracle, &queries, &p, 1);
         for shards in [2usize, 3, 4, 7] {
             let sharded = ShardedIndex::from_index(&index, shards);
             for threads in [1usize, 2, 4, 8] {
-                let (got, stats) = sharded.search_batch(&queries, &p, threads).unwrap();
+                let (got, stats) = search(&sharded, &queries, &p, threads);
                 assert_eq!(got, want, "shards={shards} threads={threads}");
                 assert_eq!(
                     stats.batch, want_stats.batch,
@@ -752,23 +739,18 @@ mod tests {
         let p = params();
         for shards in [1usize, 3] {
             let sharded = ShardedIndex::from_index(&index, shards);
-            let predicted = sharded.price_batch(&queries, &p);
-            let (_, measured) = sharded.search_batch(&queries, &p, 2).unwrap();
-            assert_eq!(predicted.traffic.code_bytes, measured.batch.code_bytes);
+            let plan = plan(&sharded, &queries, &p);
+            let predicted = TrafficModel::new(PlanParams::default()).price_sharded(&plan);
+            let (_, measured) = sharded.try_execute(&queries, &plan, 2).unwrap();
+            assert_eq!(predicted.code_bytes, measured.batch.code_bytes);
             assert_eq!(
-                predicted.traffic.cluster_meta_bytes,
+                predicted.cluster_meta_bytes,
                 measured.batch.clusters_fetched * anna_plan::CLUSTER_META_BYTES
             );
-            assert_eq!(
-                predicted.traffic.topk_spill_bytes,
-                measured.batch.topk_spill_bytes
-            );
-            assert_eq!(
-                predicted.traffic.topk_fill_bytes,
-                measured.batch.topk_fill_bytes
-            );
-            assert_eq!(predicted.tier, measured.tier);
-            assert_eq!(predicted.tier, TierTraffic::default());
+            assert_eq!(predicted.topk_spill_bytes, measured.batch.topk_spill_bytes);
+            assert_eq!(predicted.topk_fill_bytes, measured.batch.topk_fill_bytes);
+            assert_eq!(plan.predicted_tier, measured.tier);
+            assert_eq!(plan.predicted_tier, TierTraffic::default());
         }
     }
 
@@ -780,7 +762,7 @@ mod tests {
         let dir = temp_dir("tiered");
         let paths = ShardedIndex::write_shard_segments(&index, 3, &dir).unwrap();
         let ram = ShardedIndex::from_index(&index, 3);
-        let (want, want_stats) = ram.search_batch(&queries, &p, 2).unwrap();
+        let (want, want_stats) = search(&ram, &queries, &p, 2);
         let total: u64 = (0..index.num_clusters())
             .map(|g| index.cluster(g).encoded_bytes())
             .sum();
@@ -788,11 +770,11 @@ mod tests {
             let tiered = ShardedIndex::open_tiered(&paths, capacity).unwrap();
             // Two batches: the second exercises warm-cache hits.
             for round in 0..2 {
-                let predicted = tiered.price_batch(&queries, &p);
-                let (got, stats) = tiered.search_batch(&queries, &p, 2).unwrap();
+                let plan = plan(&tiered, &queries, &p);
+                let (got, stats) = tiered.try_execute(&queries, &plan, 2).unwrap();
                 assert_eq!(got, want, "capacity={capacity} round={round}");
                 assert_eq!(stats.batch, want_stats.batch, "capacity={capacity}");
-                assert_eq!(predicted.tier, stats.tier, "capacity={capacity} tier");
+                assert_eq!(plan.predicted_tier, stats.tier, "capacity={capacity} tier");
                 assert_eq!(
                     stats.tier.total_code_bytes(),
                     stats.batch.code_bytes,
@@ -851,7 +833,7 @@ mod tests {
         for shards in [1usize, 2] {
             for threads in [1usize, 2] {
                 let sharded = ShardedIndex::from_index(&index, shards);
-                let (results, _) = sharded.search_batch(&queries, &p, threads).unwrap();
+                let (results, _) = search(&sharded, &queries, &p, threads);
                 assert_eq!(
                     results[0], oracle,
                     "shards={shards} threads={threads}: duplicate score lost the id tie"
@@ -860,10 +842,7 @@ mod tests {
         }
         // With k=2 both copies survive; order must still be lower id first.
         let p2 = SearchParams { k: 2, ..p };
-        let both = ShardedIndex::from_index(&index, 2)
-            .search_batch(&queries, &p2, 2)
-            .unwrap()
-            .0;
+        let both = search(&ShardedIndex::from_index(&index, 2), &queries, &p2, 2).0;
         assert_eq!(both[0].len(), 2);
         assert_eq!(both[0][0].score, both[0][1].score);
         assert_eq!(both[0][0].id, 3);
@@ -902,11 +881,11 @@ mod tests {
         let sharded = ShardedIndex::from_index(&index, 20);
         assert_eq!(sharded.num_shards(), 20);
         let empty = VectorSet::zeros(8, 0);
-        let (results, stats) = sharded.search_batch(&empty, &params(), 2).unwrap();
+        let (results, stats) = search(&sharded, &empty, &params(), 2);
         assert!(results.is_empty());
         assert_eq!(stats, ShardedStats::default());
         let queries = data.gather(&[0, 40]);
-        let (got, _) = sharded.search_batch(&queries, &params(), 3).unwrap();
+        let (got, _) = search(&sharded, &queries, &params(), 3);
         for (qi, q) in queries.iter().enumerate() {
             assert_eq!(got[qi], index.search(q, &params()));
         }

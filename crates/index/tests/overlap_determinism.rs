@@ -8,10 +8,12 @@
 //! exercised across tile boundaries), both metrics (L2 rebuilds tables
 //! per cluster inside the pipeline; InnerProduct re-biases shared base
 //! tables built in parallel), both code widths, and a telemetry-on pass —
-//! all across worker counts {1, 2, 4, 8}, seeded through `anna-testkit`
-//! so any failure replays from a printed seed.
+//! all across worker counts {1, 2, 4, 8}, checked against the serial
+//! query-major oracle ([`IvfPqIndex::search`]) and seeded through
+//! `anna-testkit` so any failure replays from a printed seed.
 
-use anna_index::{BatchExec, BatchedScan, IvfPqConfig, IvfPqIndex, LutPrecision, SearchParams};
+use anna_engine::{run_pipeline, EngineRun, PlanOptions, QuerySpec};
+use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, LutPrecision, SearchParams};
 use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};
 use anna_vector::{Metric, VectorSet};
@@ -43,10 +45,45 @@ fn build(metric: Metric, kstar: usize) -> (VectorSet, IvfPqIndex) {
     (data, index)
 }
 
-/// Core property: under the shaped default plan (queries_per_group = 0 —
-/// the configuration that engages the tile shaper and the overlapped wave
-/// pipeline), every worker count reproduces the serial neighbors and
-/// traffic stats bit for bit.
+/// One pass of the batch pipeline (shaped plan, verified predicted ==
+/// measured) at `threads` workers.
+fn run(
+    scan: &BatchedScan,
+    queries: &VectorSet,
+    params: &SearchParams,
+    threads: usize,
+    tel: &Telemetry,
+) -> EngineRun {
+    let spec = QuerySpec {
+        k: params.k,
+        scope: params.nprobe,
+    };
+    run_pipeline(scan, queries, &spec, &PlanOptions::default(), threads, tel)
+        .unwrap_or_else(|e| panic!("threads={threads}: {e}"))
+        .2
+}
+
+/// Asserts `run` holds the oracle's neighbors for every query.
+fn assert_matches_oracle(
+    index: &IvfPqIndex,
+    queries: &VectorSet,
+    params: &SearchParams,
+    run: &EngineRun,
+    ctx: &str,
+) {
+    for (qi, q) in queries.iter().enumerate() {
+        assert_eq!(
+            run.results[qi],
+            index.search(q, params),
+            "{ctx}: query {qi}"
+        );
+    }
+}
+
+/// Core property: under the engine's shaped plan (the configuration that
+/// engages the tile shaper and the overlapped wave pipeline), every
+/// worker count reproduces the oracle's neighbors and one measured
+/// traffic record bit for bit.
 fn overlapped_matches_serial(metric: Metric, kstar: usize) {
     let (data, index) = build(metric, kstar);
     let scan = BatchedScan::new(&index);
@@ -60,15 +97,16 @@ fn overlapped_matches_serial(metric: Metric, kstar: usize) {
         let params = SearchParams {
             nprobe: rng.usize(4..13),
             k: *rng.pick(&[1usize, 5, 10, 16]),
-            lut_precision: *rng.pick(&[LutPrecision::F32, LutPrecision::F16]),
+            lut_precision: LutPrecision::F32,
         };
 
-        let (serial, serial_stats) = scan.run_serial(&queries, &params);
+        let tel = Telemetry::disabled();
+        let serial = run(&scan, &queries, &params, 1, &tel);
         for threads in THREADS {
-            let (par, par_stats) =
-                scan.run_with(&queries, &params, &BatchExec::with_threads(threads));
-            assert_eq!(par, serial, "neighbors diverged: threads={threads}");
-            assert_eq!(par_stats, serial_stats, "stats diverged: threads={threads}");
+            let par = run(&scan, &queries, &params, threads, &tel);
+            let ctx = format!("threads={threads}");
+            assert_matches_oracle(&index, &queries, &params, &par, &ctx);
+            assert_eq!(par.measured, serial.measured, "traffic diverged: {ctx}");
         }
     });
 }
@@ -94,10 +132,11 @@ fn inner_product_kstar256_overlapped_matches_serial() {
 }
 
 /// The overlap must survive observation: with a live telemetry sink the
-/// pipeline emits per-worker build/scan counters, yet neighbors and stats
-/// stay bit-identical to the uninstrumented serial reference. Multi-worker
-/// runs must show LUT-build work credited to the workers (`luts_built`) —
-/// proof the prebuilt path, not the inline fallback, actually ran.
+/// pipeline emits per-worker build/scan counters, yet neighbors and
+/// traffic stay bit-identical to the oracle and the uninstrumented run.
+/// Multi-worker runs must show LUT-build work credited to the workers
+/// (`luts_built`) — proof the prebuilt path, not the inline fallback,
+/// actually ran.
 #[test]
 fn telemetry_on_overlap_stays_bit_identical() {
     let (data, index) = build(Metric::L2, 16);
@@ -112,19 +151,13 @@ fn telemetry_on_overlap_stays_bit_identical() {
             lut_precision: LutPrecision::F32,
         };
 
-        let (serial, serial_stats) = scan.run_serial(&queries, &params);
+        let serial = run(&scan, &queries, &params, 1, &Telemetry::disabled());
         for threads in THREADS {
             let tel = Telemetry::enabled();
-            let exec = BatchExec::with_threads(threads);
-            let (par, par_stats) = scan.run_instrumented(&queries, &params, &exec, &tel);
-            assert_eq!(
-                par, serial,
-                "neighbors diverged with telemetry: threads={threads}"
-            );
-            assert_eq!(
-                par_stats, serial_stats,
-                "stats diverged with telemetry: threads={threads}"
-            );
+            let par = run(&scan, &queries, &params, threads, &tel);
+            let ctx = format!("with telemetry: threads={threads}");
+            assert_matches_oracle(&index, &queries, &params, &par, &ctx);
+            assert_eq!(par.measured, serial.measured, "traffic diverged {ctx}");
             let snap = tel.snapshot_json().expect("telemetry enabled");
             assert!(snap.contains("\"worker0.tiles\""), "{snap}");
             if threads > 1 {
@@ -133,30 +166,6 @@ fn telemetry_on_overlap_stays_bit_identical() {
                     "no prebuilt-LUT work recorded at threads={threads}: {snap}"
                 );
             }
-        }
-    });
-}
-
-/// End of the determinism chain: the overlapped engine at 8 workers (with
-/// the shaped plan splitting the hot cluster) agrees with plain per-query
-/// search on every query.
-#[test]
-fn overlapped_batch_matches_query_major_search() {
-    let (data, index) = build(Metric::InnerProduct, 16);
-    let scan = BatchedScan::new(&index);
-    forall("overlap batch == query-major search", 6, |rng| {
-        let batch = rng.usize(8..48);
-        let ids: Vec<usize> = (0..batch).map(|_| rng.usize(0..data.len())).collect();
-        let queries = data.gather(&ids);
-        let params = SearchParams {
-            nprobe: rng.usize(2..9),
-            k: rng.usize(1..8),
-            lut_precision: LutPrecision::F32,
-        };
-        let (batched, _) = scan.run_with(&queries, &params, &BatchExec::with_threads(8));
-        for (bi, &row) in ids.iter().enumerate() {
-            let single = index.search(data.row(row), &params);
-            assert_eq!(batched[bi], single, "query row {row} diverged");
         }
     });
 }

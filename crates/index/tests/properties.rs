@@ -1,7 +1,10 @@
 //! Property-based tests for the IVF-PQ index and its execution schedules
 //! (seeded `anna-testkit` harness; failures report a replayable seed).
 
+use anna_engine::{run_pipeline, PlanOptions, QuerySpec};
 use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
+use anna_plan::EnginePlan;
+use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};
 use anna_vector::{Metric, VectorSet};
 
@@ -79,12 +82,24 @@ fn batched_equals_query_major() {
             k,
             ..Default::default()
         };
-        let (batched, stats) = BatchedScan::new(&index).run(&queries, &params);
-        for (qi, res) in batched.iter().enumerate() {
+        let spec = QuerySpec { k, scope: nprobe };
+        let (plan, _, run) = run_pipeline(
+            &BatchedScan::new(&index),
+            &queries,
+            &spec,
+            &PlanOptions::default(),
+            2,
+            &Telemetry::disabled(),
+        )
+        .expect("predicted must equal measured");
+        for (qi, res) in run.results.iter().enumerate() {
             let single = index.search(queries.row(qi), &params);
             assert_eq!(res, &single, "query {qi} diverged");
         }
-        assert!(stats.code_bytes <= stats.conventional_code_bytes);
+        let EnginePlan::ClusterMajor { workload, .. } = &plan else {
+            unreachable!("the batch engine plans cluster-major")
+        };
+        assert!(run.measured.code_bytes <= workload.query_major_code_bytes());
     });
 }
 

@@ -8,12 +8,13 @@
 //!    or add ground-truth members),
 //! 2. at `alpha = 1` with f32 precision, the two-phase pipeline is
 //!    bit-identical to exact rescoring of the single-phase result ids,
-//! 3. two-phase parallel execution is bit-identical to serial across
-//!    metrics, codebook sizes, and worker counts.
+//! 3. two-phase parallel execution is bit-identical to the two-phase
+//!    oracle ([`IvfPqIndex::search_two_phase`]) across metrics, codebook
+//!    sizes, and worker counts.
 
+use anna_engine::{run_pipeline, EngineRun, PlanOptions, QuerySpec};
 use anna_index::{
-    BatchExec, BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision,
-    SearchParams,
+    BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision, SearchParams,
 };
 use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};
@@ -50,6 +51,32 @@ fn sample_queries(rng: &mut TestRng, data: &VectorSet, nq: usize) -> VectorSet {
     data.gather(&rows)
 }
 
+/// One verified pass of the batch pipeline at `threads` workers, two-phase
+/// when `policy` is set.
+fn run(
+    scan: &BatchedScan,
+    queries: &VectorSet,
+    params: &SearchParams,
+    policy: Option<RerankPolicy>,
+    threads: usize,
+) -> EngineRun {
+    let spec = QuerySpec {
+        k: params.k,
+        scope: params.nprobe,
+    };
+    let options = PlanOptions { rerank: policy };
+    run_pipeline(
+        scan,
+        queries,
+        &spec,
+        &options,
+        threads,
+        &Telemetry::disabled(),
+    )
+    .unwrap_or_else(|e| panic!("threads={threads}: {e}"))
+    .2
+}
+
 fn recall(results: &[Vec<Neighbor>], truth: &[Vec<Neighbor>]) -> f64 {
     let mut found = 0usize;
     let mut total = 0usize;
@@ -80,8 +107,6 @@ fn recall_is_monotone_in_alpha() {
         };
         let truth = exact::search(&queries, &data, metric, params.k);
         let scan = BatchedScan::with_rerank_db(&index, &data);
-        let tel = Telemetry::disabled();
-        let exec = BatchExec::serial();
 
         let mut prev = -1.0f64;
         for alpha in [1usize, 2, 4, 8] {
@@ -89,8 +114,10 @@ fn recall_is_monotone_in_alpha() {
                 mode: RerankMode::Fixed(RerankPrecision::F32),
                 alpha,
             };
-            let (results, _) = scan.run_two_phase(&queries, &params, &policy, &exec, &tel);
-            let r = recall(&results, &truth);
+            let r = recall(
+                &run(&scan, &queries, &params, Some(policy), 1).results,
+                &truth,
+            );
             assert!(
                 r >= prev,
                 "recall fell from {prev} to {r} when alpha grew to {alpha}"
@@ -116,17 +143,12 @@ fn alpha_one_f32_matches_rescored_single_phase() {
             ..Default::default()
         };
         let scan = BatchedScan::with_rerank_db(&index, &data);
-        let tel = Telemetry::disabled();
         let policy = RerankPolicy {
             mode: RerankMode::Fixed(RerankPrecision::F32),
             alpha: 1,
         };
-        let (two_phase, _) =
-            scan.run_two_phase(&queries, &params, &policy, &BatchExec::serial(), &tel);
-
-        let scan_single = BatchedScan::new(&index);
-        let plan = scan_single.default_plan(&queries, &params);
-        let (single, _) = scan_single.run_plan(&queries, &params, &plan, 1, &tel);
+        let two_phase = run(&scan, &queries, &params, Some(policy), 1).results;
+        let single = run(&scan, &queries, &params, None, 1).results;
         for (qi, hits) in single.iter().enumerate() {
             let ids: Vec<u64> = hits.iter().map(|n| n.id).collect();
             let want = exact::rescore_subset(queries.row(qi), &ids, &data, metric, params.k);
@@ -138,12 +160,12 @@ fn alpha_one_f32_matches_rescored_single_phase() {
     });
 }
 
-/// Invariant 3: two-phase results and measured stats are bit-identical
-/// for any worker count, across metrics and codebook sizes — the same
-/// determinism contract the first pass already holds.
+/// Invariant 3: two-phase results are bit-identical to the two-phase
+/// oracle and measured traffic is identical for any worker count, across
+/// metrics and codebook sizes — the same determinism contract the first
+/// pass already holds.
 #[test]
 fn two_phase_parallel_equals_serial() {
-    let tel = Telemetry::disabled();
     for metric in [Metric::L2, Metric::InnerProduct] {
         for kstar in [16usize, 256] {
             let mut rng = TestRng::new(0xA77A ^ kstar as u64 ^ metric as u64);
@@ -160,24 +182,23 @@ fn two_phase_parallel_equals_serial() {
                 alpha: 3,
             };
             let scan = BatchedScan::with_rerank_db(&index, &data);
-            let (serial, serial_stats) =
-                scan.run_two_phase(&queries, &params, &policy, &BatchExec::serial(), &tel);
-            assert!(serial_stats.rerank_vector_bytes > 0, "re-rank did not run");
-            for threads in [2usize, 4, 8] {
-                let (parallel, stats) = scan.run_two_phase(
-                    &queries,
-                    &params,
-                    &policy,
-                    &BatchExec::with_threads(threads),
-                    &tel,
-                );
+            let serial = run(&scan, &queries, &params, Some(policy), 1);
+            assert!(
+                serial.measured.rerank_vector_bytes > 0,
+                "re-rank did not run"
+            );
+            for threads in [1usize, 2, 4, 8] {
+                let parallel = run(&scan, &queries, &params, Some(policy), threads);
+                for (qi, q) in queries.iter().enumerate() {
+                    assert_eq!(
+                        parallel.results[qi],
+                        index.search_two_phase(q, &params, &policy, &data),
+                        "{metric:?} kstar={kstar}: {threads} workers diverged at query {qi}"
+                    );
+                }
                 assert_eq!(
-                    serial, parallel,
-                    "{metric:?} kstar={kstar}: {threads} workers diverged from serial"
-                );
-                assert_eq!(
-                    serial_stats, stats,
-                    "{metric:?} kstar={kstar}: stats diverged at {threads} workers"
+                    serial.measured, parallel.measured,
+                    "{metric:?} kstar={kstar}: traffic diverged at {threads} workers"
                 );
             }
         }
@@ -202,12 +223,11 @@ fn duplicated_vectors_break_ties_by_id() {
         ..Default::default()
     };
     let scan = BatchedScan::with_rerank_db(&index, &data);
-    let tel = Telemetry::disabled();
     let policy = RerankPolicy {
         mode: RerankMode::Fixed(RerankPrecision::F32),
         alpha: 4,
     };
-    let (serial, _) = scan.run_two_phase(&queries, &params, &policy, &BatchExec::serial(), &tel);
+    let serial = run(&scan, &queries, &params, Some(policy), 1).results;
     for hits in &serial {
         for pair in hits.windows(2) {
             assert!(
@@ -217,12 +237,6 @@ fn duplicated_vectors_break_ties_by_id() {
             );
         }
     }
-    let (parallel, _) = scan.run_two_phase(
-        &queries,
-        &params,
-        &policy,
-        &BatchExec::with_threads(4),
-        &tel,
-    );
+    let parallel = run(&scan, &queries, &params, Some(policy), 4).results;
     assert_eq!(serial, parallel, "tie-breaking depended on worker count");
 }

@@ -4,9 +4,11 @@
 //! {1, 2, 4, 8} threads, with predicted tier traffic equal to measured at
 //! every step.
 
-use anna_index::{IvfPqConfig, IvfPqIndex, SearchParams, ShardedIndex};
+use anna_engine::{plan_batch, PlanOptions, QuerySpec};
+use anna_index::{IvfPqConfig, IvfPqIndex, SearchParams, ShardedIndex, ShardedStats};
+use anna_plan::{EnginePlan, PlanParams, ShardedBatchPlan, TrafficModel};
 use anna_testkit::forall;
-use anna_vector::{Metric, VectorSet};
+use anna_vector::{Metric, Neighbor, VectorSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -18,6 +20,30 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     ));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Plans `queries` against the live shard state.
+fn plan(sharded: &ShardedIndex, queries: &VectorSet, params: &SearchParams) -> ShardedBatchPlan {
+    let spec = QuerySpec {
+        k: params.k,
+        scope: params.nprobe,
+    };
+    match plan_batch(sharded, queries, &spec, &PlanOptions::default()) {
+        EnginePlan::Sharded(plan) => plan,
+        other => panic!("sharded engine planned a {} plan", other.engine()),
+    }
+}
+
+/// Plans and executes `queries` on `threads` workers.
+fn search(
+    sharded: &ShardedIndex,
+    queries: &VectorSet,
+    params: &SearchParams,
+    threads: usize,
+) -> (Vec<Vec<Neighbor>>, ShardedStats) {
+    sharded
+        .try_execute(queries, &plan(sharded, queries, params), threads)
+        .unwrap()
 }
 
 #[test]
@@ -55,7 +81,7 @@ fn sharded_tiered_matches_the_single_shard_ram_oracle() {
         // The oracle: one in-RAM shard, one worker — plain serial
         // cluster-major execution.
         let oracle = ShardedIndex::from_index(&index, 1);
-        let (want, want_stats) = oracle.search_batch(&queries, &params, 1).unwrap();
+        let (want, want_stats) = search(&oracle, &queries, &params, 1);
         // Results must also agree with plain query-major search.
         for (qi, &row) in rows.iter().enumerate() {
             assert_eq!(want[qi], index.search(data.row(row), &params), "oracle");
@@ -72,8 +98,9 @@ fn sharded_tiered_matches_the_single_shard_ram_oracle() {
         for threads in [1usize, 2, 4, 8] {
             // Each search advances the shard caches, so predict from the
             // live state immediately before running.
-            let predicted = tiered.price_batch(&queries, &params);
-            let (got, stats) = tiered.search_batch(&queries, &params, threads).unwrap();
+            let plan = plan(&tiered, &queries, &params);
+            let predicted = TrafficModel::new(PlanParams::default()).price_sharded(&plan);
+            let (got, stats) = tiered.try_execute(&queries, &plan, threads).unwrap();
             assert_eq!(
                 got, want,
                 "{metric:?} k*={kstar} shards={shards} threads={threads}: results diverged"
@@ -83,7 +110,7 @@ fn sharded_tiered_matches_the_single_shard_ram_oracle() {
                 "{metric:?} k*={kstar} shards={shards} threads={threads}: stats diverged"
             );
             assert_eq!(
-                predicted.tier, stats.tier,
+                plan.predicted_tier, stats.tier,
                 "{metric:?} k*={kstar} capacity={capacity}: tier prediction diverged"
             );
             assert_eq!(
@@ -91,15 +118,9 @@ fn sharded_tiered_matches_the_single_shard_ram_oracle() {
                 stats.batch.code_bytes,
                 "tier split must cover all code bytes"
             );
-            assert_eq!(predicted.traffic.code_bytes, stats.batch.code_bytes);
-            assert_eq!(
-                predicted.traffic.topk_spill_bytes,
-                stats.batch.topk_spill_bytes
-            );
-            assert_eq!(
-                predicted.traffic.topk_fill_bytes,
-                stats.batch.topk_fill_bytes
-            );
+            assert_eq!(predicted.code_bytes, stats.batch.code_bytes);
+            assert_eq!(predicted.topk_spill_bytes, stats.batch.topk_spill_bytes);
+            assert_eq!(predicted.topk_fill_bytes, stats.batch.topk_fill_bytes);
         }
         std::fs::remove_dir_all(dir).unwrap();
     });
@@ -129,13 +150,11 @@ fn ram_sharding_is_thread_and_shard_count_invariant() {
             ..SearchParams::default()
         };
         let queries = data.gather(&(0..12).map(|i| i * 33 % 420).collect::<Vec<_>>());
-        let (want, want_stats) = ShardedIndex::from_index(&index, 1)
-            .search_batch(&queries, &params, 1)
-            .unwrap();
+        let (want, want_stats) = search(&ShardedIndex::from_index(&index, 1), &queries, &params, 1);
         let shards = rng.usize(2..6);
         let sharded = ShardedIndex::from_index(&index, shards);
         for threads in [1usize, 2, 4, 8] {
-            let (got, stats) = sharded.search_batch(&queries, &params, threads).unwrap();
+            let (got, stats) = search(&sharded, &queries, &params, threads);
             assert_eq!(got, want, "shards={shards} threads={threads}");
             assert_eq!(stats.batch, want_stats.batch, "shards={shards}");
         }

@@ -131,7 +131,8 @@ impl GraphPlan {
 pub struct ShardedBatchPlan {
     /// Per-shard `(workload, plan)` pairs, ascending shard id. Each plan
     /// is the unbounded [`BatchPlan::from_visitors`] schedule over the
-    /// shard's local clusters.
+    /// shard's local clusters; the workload's visit lists are what the
+    /// executor scans.
     pub per_shard: Vec<(BatchWorkload, BatchPlan)>,
     /// Cross-shard merge spill/fill units, `Σ_q (S_q − 1)` over each
     /// query's contributing shards.
@@ -142,9 +143,6 @@ pub struct ShardedBatchPlan {
     pub b: usize,
     /// Top-k entries returned per query.
     pub k: usize,
-    /// The `nprobe` the visitor lists were derived with (carried so an
-    /// executor can re-derive the identical lists).
-    pub nprobe: usize,
     /// Predicted storage-tier split, from replaying each tiered shard's
     /// cache simulation at plan time (all-zero for all-RAM shards).
     pub predicted_tier: TierTraffic,

@@ -130,6 +130,18 @@ impl BatchWorkload {
         self.visits.iter().map(|v| v.len() as u64).sum()
     }
 
+    /// Encoded-vector bytes the conventional query-major schedule reads:
+    /// every (query, cluster) visit streams the whole cluster,
+    /// `Σ_q Σ_{c ∈ W_q} |C_c| · M·log2(k*)/8` (the left side of Figure 5).
+    pub fn query_major_code_bytes(&self) -> u64 {
+        let ebpv = self.shape.encoded_bytes_per_vector() as u64;
+        self.visits
+            .iter()
+            .flatten()
+            .map(|&c| self.cluster_sizes[c] as u64 * ebpv)
+            .sum()
+    }
+
     /// Inverts the visit lists into per-cluster visitor lists (the
     /// main-memory "array of arrays" of Section IV-A).
     pub fn visitors_per_cluster(&self) -> Vec<Vec<usize>> {
@@ -209,6 +221,8 @@ mod tests {
         assert!(v[1].is_empty());
         assert_eq!(v[2], vec![0, 1]);
         assert_eq!(w.total_visits(), 3);
+        // Every visit streams its whole cluster at 64 B per vector.
+        assert_eq!(w.query_major_code_bytes(), (10 + 30 + 30) * 64);
     }
 
     #[test]

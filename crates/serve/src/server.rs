@@ -36,7 +36,7 @@ pub struct BatchReport {
     pub predicted_bytes: u64,
     /// Predicted service time at the configured byte rate (virtual).
     pub predicted_service_ns: u64,
-    /// Measured wall-clock service time of `run_plan`.
+    /// Measured wall-clock service time of the engine's `execute`.
     pub measured_service_ns: u64,
     /// Whether every measurable traffic component (code bytes, cluster
     /// metadata, top-k spill, top-k fill, re-rank candidate records,

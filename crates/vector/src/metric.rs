@@ -65,10 +65,15 @@ impl std::fmt::Display for Metric {
 /// Dot product of two equal-length slices, with 4-wide manual unrolling so
 /// the compiler reliably vectorizes the hot loop.
 ///
+/// Always inlined: lookup-table construction calls it once per codeword
+/// on `D/M`-wide sub-vectors, where a call costs as much as the work, and
+/// whether a plain `#[inline]` hint is taken there flips with unrelated
+/// changes to how the calling crate is split into codegen units.
+///
 /// # Panics
 ///
 /// Panics in debug builds if the lengths differ.
-#[inline]
+#[inline(always)]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f32; 4];
@@ -89,10 +94,13 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 
 /// Squared Euclidean distance between two equal-length slices.
 ///
+/// Always inlined, for the same reason as [`dot`]: the L2 lookup-table
+/// build calls it once per codeword on sub-vectors.
+///
 /// # Panics
 ///
 /// Panics in debug builds if the lengths differ.
-#[inline]
+#[inline(always)]
 pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f32; 4];

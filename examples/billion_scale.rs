@@ -19,7 +19,9 @@
 use anna::core::engine::{analytic, cycle};
 use anna::core::{AnnaConfig, AreaPowerModel, BatchWorkload, ScmAllocation, SearchShape};
 use anna::data::ClusterSizeModel;
+use anna::engine::{plan_batch, PlanOptions, QuerySpec, SearchEngine};
 use anna::index::{IvfPqConfig, IvfPqIndex, SearchParams, ShardedIndex};
+use anna::plan::EnginePlan;
 use anna::vector::{Metric, VectorSet};
 
 fn main() {
@@ -137,16 +139,29 @@ fn main() {
         "\nscaled-down tiered execution: N={n}, {shards} shards, \
          {total_code_bytes} code bytes, {cache_per_shard} B cache/shard"
     );
-    let oracle = ShardedIndex::from_index(&index, 1);
-    let (want, _) = oracle.search_batch(&queries, &params, 1).unwrap();
+    let want: Vec<_> = queries.iter().map(|q| index.search(q, &params)).collect();
+    let spec = QuerySpec {
+        k: params.k,
+        scope: params.nprobe,
+    };
     for batch in 0..3 {
-        let predicted = tiered.price_batch(&queries, &params);
-        let (got, stats) = tiered.search_batch(&queries, &params, threads).unwrap();
-        assert_eq!(got, want, "tiered results diverged from the RAM oracle");
-        assert_eq!(
-            predicted.tier, stats.tier,
-            "measured tier split diverged from the cache simulation"
-        );
+        // Plan against the live cache state, then run exactly that plan.
+        let plan = plan_batch(&tiered, &queries, &spec, &PlanOptions::default());
+        let predicted = tiered.price(&plan);
+        let EnginePlan::Sharded(sharded_plan) = &plan else {
+            unreachable!("the sharded engine plans sharded batches")
+        };
+        let (got, stats) = tiered
+            .try_execute(&queries, sharded_plan, threads)
+            .expect("shard segments are readable");
+        assert_eq!(got, want, "tiered results diverged from the serial oracle");
+        tiered
+            .verify(
+                &predicted,
+                Some(&sharded_plan.predicted_tier),
+                &stats.to_measured(),
+            )
+            .expect("measured traffic and tier split equal the prediction");
         println!(
             "batch {batch}: {} B from cache, {} B from storage \
              ({} hits, {} misses, {} admitted, {} evicted) — predicted == measured",

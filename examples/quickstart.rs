@@ -7,7 +7,9 @@
 
 use anna::core::{Anna, AnnaConfig};
 use anna::data::{recall, synth, Character, DatasetSpec};
-use anna::index::{IvfPqConfig, IvfPqIndex, SearchParams};
+use anna::engine::{run_pipeline, PlanOptions, QuerySpec};
+use anna::index::{BatchedScan, IvfPqConfig, IvfPqIndex};
+use anna_telemetry::Telemetry;
 
 fn main() {
     // 1. A SIFT-like dataset: 20k vectors, 16 dimensions.
@@ -53,15 +55,22 @@ fn main() {
     );
 
     // 4. Software search at increasing W: recall/throughput trade-off.
+    //    The batch runs cluster-major through the engine pipeline, which
+    //    checks that the bytes it moved equal the plan's prediction.
     println!("\nsoftware search (recall 10@100):");
+    let scan = BatchedScan::new(&index);
     for w in [1usize, 2, 4, 8, 16] {
-        let params = SearchParams {
-            nprobe: w,
-            k: 100,
-            ..Default::default()
-        };
-        let results = index.search_batch(&ds.queries, &params);
-        let r = recall::recall_x_at_y(&gt, &results, 100);
+        let spec = QuerySpec { k: 100, scope: w };
+        let (_, _, run) = run_pipeline(
+            &scan,
+            &ds.queries,
+            &spec,
+            &PlanOptions::default(),
+            4,
+            &Telemetry::disabled(),
+        )
+        .expect("predicted traffic equals measured");
+        let r = recall::recall_x_at_y(&gt, &run.results, 100);
         println!("  W={w:>2}: recall {r:.3}");
     }
 

@@ -8,7 +8,9 @@
 
 use anna::core::{Anna, AnnaConfig, ScmAllocation};
 use anna::data::{recall, synth, Character, DatasetSpec};
-use anna::index::{IvfPqConfig, IvfPqIndex, SearchParams, Trainer};
+use anna::engine::{run_pipeline, PlanOptions, QuerySpec};
+use anna::index::{BatchedScan, IvfPqConfig, IvfPqIndex, Trainer};
+use anna_telemetry::Telemetry;
 
 fn main() {
     // GloVe-like embeddings: heavy-tailed norms, inner-product metric.
@@ -43,14 +45,19 @@ fn main() {
             },
         );
         print!("{trainer:?} codebook:  ");
+        let scan = BatchedScan::new(&index);
         for w in [2usize, 8, 32] {
-            let params = SearchParams {
-                nprobe: w,
-                k: 100,
-                ..Default::default()
-            };
-            let results = index.search_batch(&ds.queries, &params);
-            let r = recall::recall_x_at_y(&gt, &results, 100);
+            let spec = QuerySpec { k: 100, scope: w };
+            let (_, _, run) = run_pipeline(
+                &scan,
+                &ds.queries,
+                &spec,
+                &PlanOptions::default(),
+                4,
+                &Telemetry::disabled(),
+            )
+            .expect("predicted traffic equals measured");
+            let r = recall::recall_x_at_y(&gt, &run.results, 100);
             print!("W={w}: {r:.3}  ");
         }
         println!();

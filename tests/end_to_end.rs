@@ -5,8 +5,10 @@
 use anna::core::engine::{analytic, cycle};
 use anna::core::{Anna, AnnaConfig, ScmAllocation};
 use anna::data::{recall, synth, Character, ClusterSizeModel, DatasetSpec, PaperDataset};
+use anna::engine::{run_pipeline, EngineRun, PlanOptions, QuerySpec};
 use anna::index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams, Trainer};
-use anna::vector::Metric;
+use anna::vector::{Metric, VectorSet};
+use anna_telemetry::Telemetry;
 
 fn dataset(character: Character, n: usize) -> synth::Dataset {
     synth::generate(&DatasetSpec {
@@ -36,6 +38,25 @@ fn build(ds: &synth::Dataset, kstar: usize, trainer: Trainer) -> IvfPqIndex {
     )
 }
 
+/// One cluster-major batch through the verified engine pipeline.
+fn batch_search(index: &IvfPqIndex, queries: &VectorSet, params: &SearchParams) -> EngineRun {
+    let spec = QuerySpec {
+        k: params.k,
+        scope: params.nprobe,
+    };
+    let scan = BatchedScan::new(index);
+    run_pipeline(
+        &scan,
+        queries,
+        &spec,
+        &PlanOptions::default(),
+        4,
+        &Telemetry::disabled(),
+    )
+    .expect("predicted traffic must equal measured")
+    .2
+}
+
 #[test]
 fn recall_improves_with_w_on_every_dataset_family() {
     for character in [
@@ -54,7 +75,7 @@ fn recall_improves_with_w_on_every_dataset_family() {
                 k: 100,
                 ..Default::default()
             };
-            let results = index.search_batch(&ds.queries, &params);
+            let results = batch_search(&index, &ds.queries, &params).results;
             let r = recall::recall_x_at_y(&gt, &results, 100);
             assert!(
                 r >= last - 0.02,
@@ -83,8 +104,8 @@ fn kstar256_recall_at_least_matches_kstar16() {
         k: 100,
         ..Default::default()
     };
-    let r16 = recall::recall_x_at_y(&gt, &k16.search_batch(&ds.queries, &params), 100);
-    let r256 = recall::recall_x_at_y(&gt, &k256.search_batch(&ds.queries, &params), 100);
+    let r16 = recall::recall_x_at_y(&gt, &batch_search(&k16, &ds.queries, &params).results, 100);
+    let r256 = recall::recall_x_at_y(&gt, &batch_search(&k256, &ds.queries, &params).results, 100);
     assert!(
         r256 >= r16 - 0.01,
         "k*=256 ({r256}) should reach at least k*=16's recall ({r16})"
@@ -101,7 +122,11 @@ fn anna_functional_recall_matches_software() {
         k: 100,
         ..Default::default()
     };
-    let sw = recall::recall_x_at_y(&gt, &index.search_batch(&ds.queries, &params), 100);
+    let sw = recall::recall_x_at_y(
+        &gt,
+        &batch_search(&index, &ds.queries, &params).results,
+        100,
+    );
 
     let anna = Anna::new(AnnaConfig::paper(), &index).unwrap();
     let (hw_results, _) = anna.search_batch(&ds.queries, 6, 100, ScmAllocation::Auto);
@@ -123,7 +148,7 @@ fn batched_scan_traffic_matches_anna_code_traffic_model() {
         k: 50,
         ..Default::default()
     };
-    let (_, stats) = BatchedScan::new(&index).run(&ds.queries, &params);
+    let stats = batch_search(&index, &ds.queries, &params).measured;
 
     let anna = Anna::new(AnnaConfig::paper(), &index).unwrap();
     let (_, timing) = anna.search_batch(&ds.queries, 5, 50, ScmAllocation::InterQuery);
@@ -203,8 +228,16 @@ fn scann_trainer_improves_or_matches_mips_recall() {
         k: 100,
         ..Default::default()
     };
-    let rf = recall::recall_x_at_y(&gt, &faiss.search_batch(&ds.queries, &params), 100);
-    let rs = recall::recall_x_at_y(&gt, &scann.search_batch(&ds.queries, &params), 100);
+    let rf = recall::recall_x_at_y(
+        &gt,
+        &batch_search(&faiss, &ds.queries, &params).results,
+        100,
+    );
+    let rs = recall::recall_x_at_y(
+        &gt,
+        &batch_search(&scann, &ds.queries, &params).results,
+        100,
+    );
     // Not guaranteed to strictly win on synthetic data, but must be
     // competitive (within a few points) — and both must be usable.
     assert!(

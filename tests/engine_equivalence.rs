@@ -1,16 +1,17 @@
-//! Trait-path equivalence: routing a batch through the shared
-//! [`anna::engine::SearchEngine`] pipeline produces *bit-identical*
-//! results and traffic to each engine's legacy entry point — across
-//! metrics, code widths, and thread counts. This is the refactor's
-//! non-negotiable: the engine layer is a seam, not a semantic change.
+//! Oracle equivalence: every batch engine behind the shared
+//! [`anna::engine::SearchEngine`] pipeline returns results *bit-identical*
+//! to the serial query-major oracle ([`IvfPqIndex::search`], or
+//! [`IvfPqIndex::search_two_phase`] for re-rank plans), verifies
+//! predicted == measured traffic, and measures the same traffic at every
+//! thread count — across metrics, code widths, and 1/2/4/8 threads.
 
-use anna::engine::{run_pipeline, PlanOptions, QuerySpec};
+use anna::engine::{run_pipeline, EngineRun, PlanOptions, QuerySpec, SearchEngine};
 use anna::index::{
     BatchedScan, IvfPqConfig, IvfPqIndex, RerankMode, RerankPolicy, RerankPrecision, SearchParams,
     ShardedIndex,
 };
-use anna::plan::{PlanParams, TrafficModel};
-use anna::vector::{Metric, VectorSet};
+use anna::plan::EnginePlan;
+use anna::vector::{Metric, Neighbor, VectorSet};
 use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};
 
@@ -94,12 +95,30 @@ fn build(
     (data, index)
 }
 
-/// Single-phase IVF-PQ: the trait pipeline reproduces the legacy
-/// `workload → default_plan → price → run_plan` path byte for byte,
-/// with results and traffic bit-identical at 1/2/4/8 threads.
+/// Asserts `run` holds `oracle`'s neighbors for every query, and that
+/// its measured traffic equals the first thread count's.
+fn assert_oracle_and_stable(
+    run: &EngineRun,
+    oracle: &[Vec<Neighbor>],
+    first: &mut Option<EngineRun>,
+    ctx: &str,
+) {
+    for (qi, want) in oracle.iter().enumerate() {
+        assert_eq!(
+            &run.results[qi], want,
+            "{ctx}: query {qi} diverged from the oracle"
+        );
+    }
+    let first = first.get_or_insert_with(|| run.clone());
+    assert_eq!(run.measured, first.measured, "{ctx}: traffic diverged");
+}
+
+/// Single-phase IVF-PQ: the trait pipeline equals the query-major oracle
+/// and verifies predicted == measured, with traffic bit-identical at
+/// 1/2/4/8 threads.
 #[test]
 fn ivf_pq_trait_path_is_bit_identical_across_threads() {
-    forall("ivf_pq trait equivalence", 4, |rng: &mut TestRng| {
+    forall("ivf_pq oracle equivalence", 4, |rng: &mut TestRng| {
         let salt = rng.usize(0..1000);
         let num_clusters = rng.usize(8..13);
         let nprobe = rng.usize(1..6).min(num_clusters);
@@ -115,19 +134,15 @@ fn ivf_pq_trait_path_is_bit_identical_across_threads() {
                     k,
                     ..Default::default()
                 };
+                let oracle: Vec<_> = queries.iter().map(|q| index.search(q, &params)).collect();
                 let scan = BatchedScan::new(&index);
                 let tel = Telemetry::disabled();
 
-                // Legacy path.
-                let workload = scan.workload(&queries, &params);
-                let plan = scan.default_plan(&queries, &params);
-                let predicted = TrafficModel::new(PlanParams::default()).price(&workload, &plan);
-                let (want, want_stats) = scan.run_plan(&queries, &params, &plan, 1, &tel);
-
-                // Trait path, every thread count.
                 let spec = QuerySpec { k, scope: nprobe };
+                let mut first = None;
                 for threads in [1usize, 2, 4, 8] {
-                    let (_, priced, run) = run_pipeline(
+                    let ctx = format!("{metric:?}/k*={kstar}/t={threads}");
+                    let (_, _, run) = run_pipeline(
                         &scan,
                         &queries,
                         &spec,
@@ -135,28 +150,19 @@ fn ivf_pq_trait_path_is_bit_identical_across_threads() {
                         threads,
                         &tel,
                     )
-                    .unwrap_or_else(|e| panic!("{metric:?}/k*={kstar}/t={threads}: {e}"));
-                    assert_eq!(priced, predicted, "{metric:?}/k*={kstar} price diverged");
-                    assert_eq!(
-                        run.results, want,
-                        "{metric:?}/k*={kstar}/t={threads} results diverged"
-                    );
-                    assert_eq!(
-                        run.measured,
-                        want_stats.to_measured(),
-                        "{metric:?}/k*={kstar}/t={threads} traffic diverged"
-                    );
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    assert_oracle_and_stable(&run, &oracle, &mut first, &ctx);
                 }
             }
         }
     });
 }
 
-/// Two-phase IVF-PQ: the trait pipeline with a re-rank policy reproduces
-/// `two_phase_plan → run_plan` bit for bit at every thread count.
+/// Two-phase IVF-PQ: the trait pipeline with a random re-rank policy
+/// equals the two-phase oracle and verifies at every thread count.
 #[test]
 fn two_phase_trait_path_is_bit_identical_across_threads() {
-    forall("two-phase trait equivalence", 4, |rng: &mut TestRng| {
+    forall("two-phase oracle equivalence", 4, |rng: &mut TestRng| {
         let salt = rng.usize(0..1000);
         let k = rng.usize(3..15);
         let policy = RerankPolicy {
@@ -177,13 +183,12 @@ fn two_phase_trait_path_is_bit_identical_across_threads() {
                     k,
                     ..Default::default()
                 };
+                let oracle: Vec<_> = queries
+                    .iter()
+                    .map(|q| index.search_two_phase(q, &params, &policy, &data))
+                    .collect();
                 let scan = BatchedScan::with_rerank_db(&index, &data);
                 let tel = Telemetry::disabled();
-
-                let (first, plan) = scan.two_phase_plan(&queries, &params, &policy);
-                let workload = scan.workload(&queries, &first);
-                let predicted = TrafficModel::new(PlanParams::default()).price(&workload, &plan);
-                let (want, want_stats) = scan.run_plan(&queries, &first, &plan, 1, &tel);
 
                 let spec = QuerySpec {
                     k,
@@ -192,32 +197,26 @@ fn two_phase_trait_path_is_bit_identical_across_threads() {
                 let options = PlanOptions {
                     rerank: Some(policy),
                 };
+                let mut first = None;
                 for threads in [1usize, 2, 4, 8] {
-                    let (_, priced, run) =
+                    let ctx = format!("{metric:?}/k*={kstar}/t={threads}");
+                    let (plan, _, run) =
                         run_pipeline(&scan, &queries, &spec, &options, threads, &tel)
-                            .unwrap_or_else(|e| panic!("{metric:?}/k*={kstar}/t={threads}: {e}"));
-                    assert_eq!(priced, predicted, "{metric:?}/k*={kstar} price diverged");
-                    assert_eq!(
-                        run.results, want,
-                        "{metric:?}/k*={kstar}/t={threads} results diverged"
-                    );
-                    assert_eq!(
-                        run.measured,
-                        want_stats.to_measured(),
-                        "{metric:?}/k*={kstar}/t={threads} traffic diverged"
-                    );
+                            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    assert_eq!(plan.k_scan(), policy.k_first(k), "{ctx}");
+                    assert_oracle_and_stable(&run, &oracle, &mut first, &ctx);
                 }
             }
         }
     });
 }
 
-/// Sharded IVF-PQ: the trait pipeline reproduces `price_batch` +
-/// `search_batch` bit for bit — results, batch traffic, and the tier
-/// split — at every thread count.
+/// Sharded IVF-PQ: the trait pipeline equals the query-major oracle and
+/// verifies predicted == measured — tier split included — at every
+/// thread count.
 #[test]
 fn sharded_trait_path_is_bit_identical_across_threads() {
-    forall("sharded trait equivalence", 4, |rng: &mut TestRng| {
+    forall("sharded oracle equivalence", 4, |rng: &mut TestRng| {
         let salt = rng.usize(0..1000);
         let shards = rng.usize(2..5);
         let nprobe = rng.usize(2..6);
@@ -233,13 +232,13 @@ fn sharded_trait_path_is_bit_identical_across_threads() {
                     k,
                     ..Default::default()
                 };
+                let oracle: Vec<_> = queries.iter().map(|q| index.search(q, &params)).collect();
                 let tel = Telemetry::disabled();
 
-                let prediction = sharded.price_batch(&queries, &params);
-                let (want, want_stats) = sharded.search_batch(&queries, &params, 1).unwrap();
-
                 let spec = QuerySpec { k, scope: nprobe };
+                let mut first = None;
                 for threads in [1usize, 2, 4, 8] {
+                    let ctx = format!("{metric:?}/k*={kstar}/t={threads}");
                     let (plan, priced, run) = run_pipeline(
                         &sharded,
                         &queries,
@@ -248,26 +247,16 @@ fn sharded_trait_path_is_bit_identical_across_threads() {
                         threads,
                         &tel,
                     )
-                    .unwrap_or_else(|e| panic!("{metric:?}/k*={kstar}/t={threads}: {e}"));
-                    assert_eq!(priced, prediction.traffic, "{metric:?}/k*={kstar} price");
-                    assert_eq!(
-                        run.results, want,
-                        "{metric:?}/k*={kstar}/t={threads} results diverged"
-                    );
-                    assert_eq!(
-                        run.measured,
-                        want_stats.to_measured(),
-                        "{metric:?}/k*={kstar}/t={threads} traffic diverged"
-                    );
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    assert_oracle_and_stable(&run, &oracle, &mut first, &ctx);
                     // The tier split verifies against the plan's own
                     // prediction too (in-RAM shards: all zeros).
-                    use anna::engine::SearchEngine;
-                    let anna::plan::EnginePlan::Sharded(sp) = &plan else {
+                    let EnginePlan::Sharded(sp) = &plan else {
                         panic!("sharded engine planned a {} plan", plan.engine());
                     };
                     sharded
                         .verify(&priced, Some(&sp.predicted_tier), &run.measured)
-                        .unwrap_or_else(|e| panic!("{metric:?}/k*={kstar} tier: {e}"));
+                        .unwrap_or_else(|e| panic!("{ctx} tier: {e}"));
                 }
             }
         }

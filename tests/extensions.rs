@@ -5,7 +5,8 @@
 
 use anna::core::{Anna, AnnaConfig};
 use anna::data::{recall, synth, Character, DatasetSpec};
-use anna::index::{IvfPqConfig, IvfPqIndex, SearchParams};
+use anna::engine::{run_pipeline, PlanOptions, QuerySpec};
+use anna::index::{BatchedScan, IvfPqConfig, IvfPqIndex};
 use anna::quant::additive::{AqCodebook, AqConfig};
 use anna::quant::opq::{Opq, OpqConfig};
 use anna::quant::pq::PqConfig;
@@ -68,13 +69,16 @@ fn opq_preprocessing_runs_through_the_unchanged_pipeline() {
 
     // Rotation preserves L2 geometry, so ground truth in the original
     // space remains valid for rotated searches.
-    let params = SearchParams {
-        nprobe: 8,
-        k: 100,
-        ..Default::default()
-    };
-    let results = index.search_batch(&rotated_queries, &params);
-    let r = recall::recall_x_at_y(&gt, &results, 100);
+    let (_, _, run) = run_pipeline(
+        &BatchedScan::new(&index),
+        &rotated_queries,
+        &QuerySpec { k: 100, scope: 8 },
+        &PlanOptions::default(),
+        4,
+        &anna_telemetry::Telemetry::disabled(),
+    )
+    .expect("predicted traffic must equal measured");
+    let r = recall::recall_x_at_y(&gt, &run.results, 100);
     assert!(r > 0.5, "OPQ-preprocessed recall too low: {r}");
 
     // And the hardware path accepts the same index untouched.

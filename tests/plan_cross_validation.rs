@@ -1,14 +1,15 @@
 //! The plan layer's headline invariant (Section IV): for any
 //! [`anna::plan::BatchPlan`], the [`anna::plan::TrafficModel`]-predicted
-//! bytes, the software scanner's measured `BatchStats` bytes, and the
-//! timing simulators' reported traffic are *exactly* equal — across
-//! metrics, code widths, SCM allocations, and thread counts — while
-//! results stay bit-identical to the serial software schedule.
+//! bytes, the software engine's measured bytes, and the timing
+//! simulators' reported traffic are *exactly* equal — across metrics,
+//! code widths, SCM allocations, and thread counts — while results stay
+//! bit-identical to the serial query-major oracle.
 
 use anna::core::engine::{analytic, cycle, stepped};
 use anna::core::AnnaConfig;
+use anna::engine::{plan_batch, PlanOptions, QuerySpec, SearchEngine};
 use anna::index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
-use anna::plan::{BatchWorkload, ScmAllocation, SearchShape, TrafficModel, CLUSTER_META_BYTES};
+use anna::plan::{BatchWorkload, EnginePlan, ScmAllocation, SearchShape, TrafficModel};
 use anna::vector::{Metric, VectorSet};
 use anna_telemetry::Telemetry;
 use anna_testkit::{forall, TestRng};
@@ -67,7 +68,12 @@ fn predicted_measured_and_simulated_bytes_agree_exactly() {
 
                 let cfg = AnnaConfig::paper();
                 let scan = BatchedScan::new(&index);
-                let w = scan.workload(&queries, &params);
+                let spec = QuerySpec { k, scope: nprobe };
+                let EnginePlan::ClusterMajor { workload: w, .. } =
+                    plan_batch(&scan, &queries, &spec, &PlanOptions::default())
+                else {
+                    unreachable!("the batch engine plans cluster-major")
+                };
                 let pp = cfg.plan_params();
                 let plan = anna::plan::plan(&pp, &w, alloc);
                 let predicted = TrafficModel::new(pp).price(&w, &plan);
@@ -88,20 +94,26 @@ fn predicted_measured_and_simulated_bytes_agree_exactly() {
 
                 // Software: executing the *same* plan measures the same
                 // bytes, component for component, at every thread count —
-                // with results bit-identical to the single-thread run.
+                // with results bit-identical to the query-major oracle.
+                let plan = EnginePlan::ClusterMajor { workload: w, plan };
                 let tel = Telemetry::disabled();
-                let (reference, stats) = scan.run_plan(&queries, &params, &plan, 1, &tel);
-                assert_eq!(stats.code_bytes, predicted.code_bytes);
-                assert_eq!(
-                    stats.clusters_fetched * CLUSTER_META_BYTES,
-                    predicted.cluster_meta_bytes
-                );
-                assert_eq!(stats.topk_spill_bytes, predicted.topk_spill_bytes);
-                assert_eq!(stats.topk_fill_bytes, predicted.topk_fill_bytes);
+                let reference = scan.execute(&queries, &plan, 1, &tel);
+                scan.verify(&predicted, None, &reference.measured)
+                    .unwrap_or_else(|e| panic!("{metric:?}/k*={kstar}: {e}"));
+                for (qi, q) in queries.iter().enumerate() {
+                    assert_eq!(
+                        reference.results[qi],
+                        index.search(q, &params),
+                        "query {qi}"
+                    );
+                }
                 for threads in [2usize, 4, 8] {
-                    let (got, s) = scan.run_plan(&queries, &params, &plan, threads, &tel);
-                    assert_eq!(got, reference, "{threads} threads diverged");
-                    assert_eq!(s, stats, "{threads} threads stats diverged");
+                    let run = scan.execute(&queries, &plan, threads, &tel);
+                    assert_eq!(run.results, reference.results, "{threads} threads diverged");
+                    assert_eq!(
+                        run.measured, reference.measured,
+                        "{threads} threads traffic diverged"
+                    );
                 }
             }
         }
