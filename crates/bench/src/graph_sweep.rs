@@ -17,7 +17,7 @@
 //! The emitted report (`reports/graph_sweep.json`; `--smoke` writes
 //! `graph_sweep_smoke.json`) holds one recall-vs-bytes point per
 //! `(engine, scope)` pair so the two frontiers plot on one axis. The
-//! binary exits non-zero if any point fails either gate.
+//! `graph_sweep` entry exits 1 if any point fails either gate.
 
 use std::time::Instant;
 
@@ -27,6 +27,8 @@ use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex};
 use anna_telemetry::Telemetry;
 use anna_vector::{exact, Metric, Neighbor, VectorSet};
 
+use crate::experiments::GateFailure;
+use crate::harness::strided_rows;
 use crate::json::Json;
 
 /// Vector dimensionality of the sweep dataset.
@@ -159,8 +161,7 @@ fn sweep_engine(
 /// `nprobe ∈ {1, 2, 4, 8, 16}`.
 pub fn run(db_n: usize, nq: usize) -> GraphSweep {
     let data = dataset(db_n);
-    let rows: Vec<usize> = (0..nq).map(|i| (i * 37) % db_n).collect();
-    let queries = data.gather(&rows);
+    let queries = data.gather(&strided_rows(nq, db_n));
     let truth = exact::search(&queries, &data, Metric::L2, K);
 
     let graph = PqGraph::build(
@@ -205,19 +206,21 @@ pub fn run(db_n: usize, nq: usize) -> GraphSweep {
 }
 
 impl GraphSweep {
-    /// Whether every point of both engines kept predicted == measured.
-    pub fn all_traffic_match(&self) -> bool {
-        self.points.iter().all(|p| p.traffic_match)
+    /// Labels of the points failing `pass`.
+    fn failing(&self, pass: impl Fn(&GraphPoint) -> bool) -> Vec<String> {
+        self.points
+            .iter()
+            .filter(|p| !pass(p))
+            .map(|p| p.label.clone())
+            .collect()
     }
 
-    /// Whether every point was bit-identical across thread counts.
-    pub fn all_deterministic(&self) -> bool {
-        self.points.iter().all(|p| p.deterministic)
-    }
-
-    /// The acceptance gate.
-    pub fn ok(&self) -> bool {
-        self.all_traffic_match() && self.all_deterministic()
+    /// The acceptance gate: every point of both engines kept predicted ==
+    /// measured (`all_traffic_match`) and was bit-identical across thread
+    /// counts (`all_deterministic`).
+    pub fn gate(&self) -> Result<(), GateFailure> {
+        GateFailure::check("all_traffic_match", self.failing(|p| p.traffic_match))?;
+        GateFailure::check("all_deterministic", self.failing(|p| p.deterministic))
     }
 
     /// JSON report (`reports/graph_sweep.json`).
@@ -230,8 +233,14 @@ impl GraphSweep {
             .set("kstar", KSTAR)
             .set("degree", self.degree)
             .set("num_clusters", self.num_clusters)
-            .set("all_traffic_match", self.all_traffic_match())
-            .set("all_deterministic", self.all_deterministic())
+            .set(
+                "all_traffic_match",
+                self.failing(|p| p.traffic_match).is_empty(),
+            )
+            .set(
+                "all_deterministic",
+                self.failing(|p| p.deterministic).is_empty(),
+            )
             .set(
                 "points",
                 Json::Arr(
@@ -285,7 +294,16 @@ mod tests {
     fn both_engines_hold_the_invariant_and_trade_bytes_for_recall() {
         let sweep = run(1_200, 12);
         assert_eq!(sweep.points.len(), 10);
-        assert!(sweep.ok(), "a gate failed:\n{}", sweep.render());
+        assert_eq!(sweep.gate(), Ok(()), "{}", sweep.render());
+        let mut diverged = sweep.clone();
+        diverged.points[6].deterministic = false;
+        assert_eq!(
+            diverged.gate(),
+            Err(GateFailure {
+                gate: "all_deterministic",
+                points: vec!["ivf_pq@np2".to_string()],
+            })
+        );
 
         // Each engine's frontier slopes the right way: the widest scope
         // costs more bytes and recalls at least as much as the

@@ -349,30 +349,40 @@ pub fn batch_results(
         k: params.k,
         scope: params.nprobe,
     };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let (_, _, run) = run_pipeline(
         &BatchedScan::new(index),
         queries,
         &spec,
         &PlanOptions::default(),
-        threads,
+        host_threads(),
         &Telemetry::disabled(),
     )
     .expect("batched scan: predicted traffic must equal measured");
     run.results
 }
 
-/// Writes a JSON report into `reports/` under the workspace root.
-pub fn write_report(name: &str, json: &Json) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("reports");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, json.to_string())?;
-    Ok(path)
+/// Worker threads the host offers (`available_parallelism`, 1 if the
+/// OS will not say).
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// The clustered synthetic database the threads, serving and tiered
+/// sweeps share: `n` rows of dimension 16 in 32 blobs, sized so the scan
+/// dominates the wall clock.
+pub(crate) fn blob_dataset(n: usize) -> VectorSet {
+    VectorSet::from_fn(16, n, |r, c| {
+        let blob = (r % 32) as f32;
+        blob * 16.0 + ((r * 31 + c * 7) % 13) as f32 * 0.4
+    })
+}
+
+/// `count` database rows spread over `0..n` with stride 37, the query
+/// rows every blob-style sweep draws.
+pub(crate) fn strided_rows(count: usize, n: usize) -> Vec<usize> {
+    (0..count).map(|i| (i * 37) % n).collect()
 }
 
 /// Formats a QPS number the way the paper's log-scale plots read.

@@ -16,6 +16,7 @@ use anna_quant::pq::{PqCodebook, PqConfig};
 use anna_telemetry::Telemetry;
 use anna_vector::{TopK, VectorSet};
 
+use crate::experiments::GateFailure;
 use crate::json::Json;
 
 /// One measured point: one dispatch scanning one code width.
@@ -80,14 +81,11 @@ fn random_codes(seed: u64, m: usize, width: CodeWidth, bound: usize, n: usize) -
 
 /// Runs the sweep: `n` codes per pass, `passes` timed passes per point,
 /// every available dispatch × `k* ∈ {16, 256}`.
-pub fn run(n: usize, passes: usize) -> KernelsSweep {
-    run_traced(n, passes, &Telemetry::disabled())
-}
-
-/// [`run`] with a telemetry sink: each point's timed scan window bumps the
-/// `kernel.*` counters under a `<dispatch>_k<kstar>.` prefix, so the
-/// snapshot shows scanned/pruned volume per point.
-pub fn run_traced(n: usize, passes: usize, tel: &Telemetry) -> KernelsSweep {
+///
+/// Each point's timed scan window bumps the `kernel.*` counters of `tel`
+/// under a `<dispatch>_k<kstar>.` prefix, so the snapshot shows
+/// scanned/pruned volume per point.
+pub fn run(n: usize, passes: usize, tel: &Telemetry) -> KernelsSweep {
     let m = 8usize;
     let dim = m * 2;
     // Small training set: the sweep times the kernels, not the trainer.
@@ -179,6 +177,18 @@ pub fn run_traced(n: usize, passes: usize, tel: &Telemetry) -> KernelsSweep {
 }
 
 impl KernelsSweep {
+    /// The summation-order gate: every dispatch returned the scalar
+    /// reference's top-k bit for bit.
+    pub fn gate(&self) -> Result<(), GateFailure> {
+        GateFailure::check(
+            "identical_to_scalar",
+            self.points
+                .iter()
+                .filter(|p| !p.identical_to_scalar)
+                .map(|p| format!("{} k*={}", p.dispatch, p.kstar)),
+        )
+    }
+
     /// JSON report (`reports/kernels_sweep.json`).
     pub fn to_json(&self) -> Json {
         Json::obj()
@@ -241,18 +251,23 @@ mod tests {
 
     #[test]
     fn sweep_covers_every_dispatch_and_stays_bit_identical() {
-        let sweep = run(3_000, 2);
+        let sweep = run(3_000, 2, &Telemetry::disabled());
         let per_width = KernelDispatch::available().len();
         assert_eq!(sweep.points.len(), 2 * per_width);
         for p in &sweep.points {
             assert!(p.codes_per_sec > 0.0, "{} k*={}", p.dispatch, p.kstar);
             assert!(p.gbps > 0.0);
-            assert!(
-                p.identical_to_scalar,
-                "{} k*={} diverged from scalar",
-                p.dispatch, p.kstar
-            );
         }
+        assert_eq!(sweep.gate(), Ok(()));
+        let mut diverged = sweep.clone();
+        diverged.points[per_width].identical_to_scalar = false;
+        assert_eq!(
+            diverged.gate(),
+            Err(GateFailure {
+                gate: "identical_to_scalar",
+                points: vec!["scalar k*=256".to_string()],
+            })
+        );
         // The scalar row is its own baseline.
         for p in sweep.points.iter().filter(|p| p.dispatch == "scalar") {
             assert!((p.speedup_vs_scalar - 1.0).abs() < 1e-9);
@@ -264,7 +279,7 @@ mod tests {
     #[test]
     fn traced_sweep_records_per_point_kernel_counters() {
         let tel = Telemetry::enabled();
-        let sweep = run_traced(2_000, 1, &tel);
+        let sweep = run(2_000, 1, &tel);
         assert!(!sweep.points.is_empty());
         let snap = tel.snapshot_json().unwrap();
         assert!(
@@ -276,7 +291,7 @@ mod tests {
 
     #[test]
     fn json_report_has_the_documented_shape() {
-        let sweep = run(1_000, 1);
+        let sweep = run(1_000, 1, &Telemetry::disabled());
         let rendered = sweep.to_json().to_string();
         for key in [
             "\"n\"",

@@ -22,7 +22,7 @@
 //! asserts measured == predicted on all six traffic components; the
 //! frontier rows then compare, per recall target, the cheapest adaptive
 //! point against the cheapest fixed-precision point. Emitted as
-//! `reports/rerank_sweep.json` by `--bin rerank_sweep`.
+//! `reports/rerank_sweep.json` by the `rerank_sweep` entry of `anna-bench`.
 
 use std::time::Instant;
 
@@ -32,6 +32,8 @@ use anna_plan::EnginePlan;
 use anna_telemetry::Telemetry;
 use anna_vector::{exact, Metric, Neighbor, VectorSet};
 
+use crate::experiments::GateFailure;
+use crate::harness::host_threads;
 use crate::json::Json;
 
 /// Vector dimensionality of the sweep dataset.
@@ -184,8 +186,14 @@ fn recall_span(results: &[Vec<Neighbor>], truth: &[Vec<Neighbor>], lo: usize, hi
 
 /// Runs the sweep: one single-phase baseline plus
 /// {f16, f32, adaptive} × alpha ∈ {1, 2, 4, 8}, each executed through
-/// its exact priced plan.
-pub fn run(db_n: usize, nq_fine: usize, nq_coarse: usize, targets: &[f64]) -> RerankSweep {
+/// its exact priced plan and recorded into `tel`.
+pub fn run(
+    db_n: usize,
+    nq_fine: usize,
+    nq_coarse: usize,
+    targets: &[f64],
+    tel: &Telemetry,
+) -> RerankSweep {
     assert!(db_n > FINE_ROWS + 200, "coarse region too small");
     let data = VectorSet::from_fn(DIM, db_n, value);
     let index = IvfPqIndex::build(
@@ -204,18 +212,15 @@ pub fn run(db_n: usize, nq_fine: usize, nq_coarse: usize, targets: &[f64]) -> Re
     let qs = queries(nq_fine, nq_coarse, db_n);
     let nq = qs.len();
     let truth = exact::search(&qs, &data, Metric::L2, K);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let threads = host_threads();
     let spec = QuerySpec { k: K, scope: 6 };
     let scan = BatchedScan::with_rerank_db(&index, &data);
-    let tel = Telemetry::disabled();
     // Plans and prices one sweep point, then times its execution alone.
     let measure = |rerank: Option<RerankPolicy>| {
         let plan = plan_batch(&scan, &qs, &spec, &PlanOptions { rerank });
         let predicted = scan.price(&plan);
         let start = Instant::now();
-        let run = scan.execute(&qs, &plan, threads, &tel);
+        let run = scan.execute(&qs, &plan, threads, tel);
         let secs = start.elapsed().as_secs_f64().max(1e-9);
         let traffic_match = scan.verify(&predicted, None, &run.measured).is_ok();
         let EnginePlan::ClusterMajor { plan, .. } = plan else {
@@ -322,28 +327,40 @@ pub fn run(db_n: usize, nq_fine: usize, nq_coarse: usize, targets: &[f64]) -> Re
 }
 
 impl RerankSweep {
-    /// Whether every point kept predicted == measured on all six traffic
-    /// components.
-    pub fn all_traffic_match(&self) -> bool {
-        self.points.iter().all(|p| p.traffic_match)
+    /// Labels of the points whose measured traffic differed from the
+    /// prediction on any of the six components.
+    fn traffic_mismatches(&self) -> Vec<String> {
+        self.points
+            .iter()
+            .filter(|p| !p.traffic_match)
+            .map(|p| p.label.clone())
+            .collect()
     }
 
-    /// The acceptance gate: every frontier target up to 0.95 is reached
-    /// by an adaptive point, and at targets of 0.95 and above, wherever
-    /// both families reach the target the adaptive pick is strictly
-    /// cheaper. (Below 0.95 a tie is allowed: easy targets are met at
-    /// alpha = 1, where the adaptive and f16 ladders price identically.)
-    pub fn ok(&self) -> bool {
-        self.all_traffic_match()
-            && self.frontier.iter().all(|row| {
-                let reached = row.adaptive.is_some() || row.target > 0.95;
-                let cheaper = row.target < 0.95
-                    || match (&row.adaptive, &row.fixed) {
-                        (Some(_), Some(_)) => row.adaptive_strictly_cheaper,
-                        _ => true,
-                    };
-                reached && cheaper
-            })
+    /// The acceptance gate: every point kept predicted == measured on all
+    /// six traffic components (`all_traffic_match`); and (`frontier`)
+    /// every target up to 0.95 is reached by an adaptive point, and at
+    /// targets of 0.95 and above, wherever both families reach the target
+    /// the adaptive pick is strictly cheaper. (Below 0.95 a tie is
+    /// allowed: easy targets are met at alpha = 1, where the adaptive and
+    /// f16 ladders price identically.)
+    pub fn gate(&self) -> Result<(), GateFailure> {
+        GateFailure::check("all_traffic_match", self.traffic_mismatches())?;
+        GateFailure::check(
+            "frontier",
+            self.frontier
+                .iter()
+                .filter(|row| {
+                    let reached = row.adaptive.is_some() || row.target > 0.95;
+                    let cheaper = row.target < 0.95
+                        || match (&row.adaptive, &row.fixed) {
+                            (Some(_), Some(_)) => row.adaptive_strictly_cheaper,
+                            _ => true,
+                        };
+                    !(reached && cheaper)
+                })
+                .map(|row| format!("target {:.2}", row.target)),
+        )
     }
 
     /// JSON report (`reports/rerank_sweep.json`).
@@ -355,7 +372,7 @@ impl RerankSweep {
             .set("k", K)
             .set("nprobe", self.nprobe)
             .set("threads", self.threads)
-            .set("all_traffic_match", self.all_traffic_match())
+            .set("all_traffic_match", self.traffic_mismatches().is_empty())
             .set(
                 "points",
                 Json::Arr(
@@ -462,9 +479,8 @@ mod tests {
 
     #[test]
     fn sweep_meets_targets_with_exact_traffic_and_adaptive_frontier() {
-        let sweep = run(4_000, 32, 32, &[0.90, 0.95]);
-        assert!(sweep.all_traffic_match(), "predicted != measured traffic");
-        assert!(sweep.ok(), "frontier gate failed:\n{}", sweep.render());
+        let sweep = run(4_000, 32, 32, &[0.90, 0.95], &Telemetry::disabled());
+        assert_eq!(sweep.gate(), Ok(()), "{}", sweep.render());
         // The structural premise: at the winning alpha, adaptive splits
         // the population — some queries escalated, some not.
         let split = sweep
@@ -475,6 +491,27 @@ mod tests {
             split,
             "adaptive never split the population:\n{}",
             sweep.render()
+        );
+
+        let mut diverged = sweep.clone();
+        diverged.points[3].traffic_match = false;
+        assert_eq!(
+            diverged.gate(),
+            Err(GateFailure {
+                gate: "all_traffic_match",
+                points: vec!["f16@a4".to_string()],
+            })
+        );
+        // A fixed-precision pick tying the adaptive one at 0.95.
+        let mut tied = sweep.clone();
+        tied.frontier[1].fixed = tied.frontier[1].adaptive.clone();
+        tied.frontier[1].adaptive_strictly_cheaper = false;
+        assert_eq!(
+            tied.gate(),
+            Err(GateFailure {
+                gate: "frontier",
+                points: vec!["target 0.95".to_string()],
+            })
         );
     }
 }

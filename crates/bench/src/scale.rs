@@ -69,16 +69,6 @@ impl Scale {
         }
     }
 
-    /// Reads the profile from the process arguments: `--full` selects the
-    /// full profile, anything else the quick one.
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::full()
-        } else {
-            Scale::quick()
-        }
-    }
-
     /// Paper-scale `W` list for a dataset (million-scale sweeps lower `W`
     /// because `|C| = 250`).
     pub fn paper_w_for(&self, billion: bool) -> Vec<usize> {

@@ -11,7 +11,7 @@
 //! end-to-end latency, shed/timeout counts, and whether **every**
 //! dispatched batch moved exactly the bytes its
 //! [`anna_plan::TrafficModel`] pricing predicted (the workspace's
-//! predicted == measured invariant; the binary exits non-zero on any
+//! predicted == measured invariant; the `serving_sweep` entry exits 1 on any
 //! mismatch). Poisson points trace the curve; one bursty and one diurnal
 //! point show what intensity shape does to the tail at the same average
 //! load.
@@ -20,8 +20,10 @@ use anna_engine::{plan_batch, PlanOptions, QuerySpec, SearchEngine};
 use anna_index::{IvfPqConfig, IvfPqIndex};
 use anna_serve::{calibrate_service_rate, compose, execute, ServeConfig};
 use anna_telemetry::Telemetry;
-use anna_vector::{Metric, VectorSet};
+use anna_vector::Metric;
 
+use crate::experiments::GateFailure;
+use crate::harness::{blob_dataset, host_threads, strided_rows};
 use crate::json::Json;
 use crate::openloop::{generate, ArrivalProfile, OpenLoopConfig};
 
@@ -84,24 +86,16 @@ pub struct ServingSweep {
     pub points: Vec<ServingPoint>,
 }
 
-/// Synthetic clustered dataset (same family as the threads sweep).
-fn dataset(dim: usize, n: usize, blobs: usize) -> VectorSet {
-    VectorSet::from_fn(dim, n, |r, c| {
-        let blob = (r % blobs) as f32;
-        blob * 16.0 + ((r * 31 + c * 7) % 13) as f32 * 0.4
-    })
-}
-
 /// Runs the sweep: Poisson traces at each of `load_fractions` (of the
 /// calibrated capacity) plus one bursty and one diurnal trace at the
-/// middle fraction, `requests` arrivals per trace.
-pub fn run(db_n: usize, requests: usize, load_fractions: &[f64]) -> ServingSweep {
+/// middle fraction, `requests` arrivals per trace. Dispatched batches
+/// record into `tel`.
+pub fn run(db_n: usize, requests: usize, load_fractions: &[f64], tel: &Telemetry) -> ServingSweep {
     assert!(
         !load_fractions.is_empty(),
         "need at least one load fraction"
     );
-    let dim = 16;
-    let data = dataset(dim, db_n, 32);
+    let data = blob_dataset(db_n);
     let index = IvfPqIndex::build(
         &data,
         &IvfPqConfig {
@@ -113,11 +107,8 @@ pub fn run(db_n: usize, requests: usize, load_fractions: &[f64]) -> ServingSweep
         },
     );
     let pool = 256.min(db_n);
-    let pool_rows: Vec<usize> = (0..pool).map(|i| (i * 37) % db_n).collect();
-    let queries = data.gather(&pool_rows);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let queries = data.gather(&strided_rows(pool, db_n));
+    let threads = host_threads();
 
     // Calibration: measured service rate at a representative probe batch,
     // converted to QPS via the probe's priced bytes per query.
@@ -168,7 +159,6 @@ pub fn run(db_n: usize, requests: usize, load_fractions: &[f64]) -> ServingSweep
         },
     ));
 
-    let tel = Telemetry::disabled();
     let mut points = Vec::new();
     for (i, &(fraction, profile)) in traces.iter().enumerate() {
         let rate_qps = (capacity_qps * fraction).max(1.0);
@@ -183,7 +173,7 @@ pub fn run(db_n: usize, requests: usize, load_fractions: &[f64]) -> ServingSweep
             query_pool: pool,
         });
         let schedule = compose(&scan, &queries, &trace, &serve_config);
-        let report = execute(&scan, &queries, &trace, &schedule, threads, &tel);
+        let report = execute(&scan, &queries, &trace, &schedule, threads, tel);
         let makespan_ns = schedule
             .server_free_ns
             .max(trace.last().map_or(0, |r| r.arrival_ns))
@@ -222,10 +212,16 @@ pub fn run(db_n: usize, requests: usize, load_fractions: &[f64]) -> ServingSweep
 }
 
 impl ServingSweep {
-    /// Whether every point kept the predicted == measured traffic
-    /// invariant on every dispatched batch.
-    pub fn all_traffic_match(&self) -> bool {
-        self.points.iter().all(|p| p.all_traffic_match)
+    /// The invariant gate: every point kept predicted == measured
+    /// traffic on every dispatched batch.
+    pub fn gate(&self) -> Result<(), GateFailure> {
+        GateFailure::check(
+            "all_traffic_match",
+            self.points
+                .iter()
+                .filter(|p| !p.all_traffic_match)
+                .map(|p| p.label.clone()),
+        )
     }
 
     /// JSON report (`reports/serving_sweep.json`).
@@ -318,11 +314,20 @@ mod tests {
 
     #[test]
     fn sweep_keeps_the_traffic_invariant_and_accounts_every_request() {
-        let sweep = run(4_000, 120, &[0.5]);
+        let sweep = run(4_000, 120, &[0.5], &Telemetry::disabled());
         // One Poisson point plus the bursty and diurnal riders.
         assert_eq!(sweep.points.len(), 3);
         assert!(sweep.capacity_qps > 0.0);
-        assert!(sweep.all_traffic_match(), "traffic diverged from pricing");
+        assert_eq!(sweep.gate(), Ok(()), "traffic diverged from pricing");
+        let mut diverged = sweep.clone();
+        diverged.points[2].all_traffic_match = false;
+        assert_eq!(
+            diverged.gate(),
+            Err(GateFailure {
+                gate: "all_traffic_match",
+                points: vec!["diurnal@0.50x".to_string()],
+            })
+        );
         for p in &sweep.points {
             assert_eq!(
                 p.completed + p.shed + p.timed_out,

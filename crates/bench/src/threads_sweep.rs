@@ -22,9 +22,11 @@ use anna_core::{Anna, AnnaConfig};
 use anna_engine::{plan_batch, run_pipeline, PlanOptions, QuerySpec, SearchEngine};
 use anna_index::{BatchedScan, IvfPqConfig, IvfPqIndex, SearchParams};
 use anna_telemetry::Telemetry;
-use anna_vector::{Metric, VectorSet};
+use anna_vector::Metric;
 use serde::{Deserialize, Serialize};
 
+use crate::experiments::GateFailure;
+use crate::harness::{blob_dataset, host_threads, strided_rows};
 use crate::json::Json;
 
 /// One measured point of the sweep.
@@ -68,24 +70,11 @@ pub struct ThreadsSweep {
     pub points: Vec<ThreadPoint>,
 }
 
-/// Synthetic clustered dataset sized so the scan dominates the wall clock.
-fn dataset(dim: usize, n: usize, blobs: usize) -> VectorSet {
-    VectorSet::from_fn(dim, n, |r, c| {
-        let blob = (r % blobs) as f32;
-        blob * 16.0 + ((r * 31 + c * 7) % 13) as f32 * 0.4
-    })
-}
-
 /// Runs the sweep over `thread_counts` on a synthetic index.
 ///
 /// `db_n` vectors, batch of `batch` queries drawn from the database; each
 /// point re-checks the returned neighbors against the serial query-major
 /// oracle ([`IvfPqIndex::search`]).
-pub fn run(db_n: usize, batch: usize, thread_counts: &[usize]) -> ThreadsSweep {
-    run_traced(db_n, batch, thread_counts, &Telemetry::disabled())
-}
-
-/// [`run`] with a telemetry sink.
 ///
 /// Each thread count records under a `threads<t>.` prefix on its own
 /// chrome-trace process lane (so the per-worker timelines of every point
@@ -95,14 +84,8 @@ pub fn run(db_n: usize, batch: usize, thread_counts: &[usize]) -> ThreadsSweep {
 /// same batch runs once through the functional accelerator under the
 /// `accel.` prefix, bridging the CPM/EFM/SCM module counters and P-heap
 /// spill/fill statistics into the same snapshot.
-pub fn run_traced(
-    db_n: usize,
-    batch: usize,
-    thread_counts: &[usize],
-    tel: &Telemetry,
-) -> ThreadsSweep {
-    let dim = 16;
-    let data = dataset(dim, db_n, 32);
+pub fn run(db_n: usize, batch: usize, thread_counts: &[usize], tel: &Telemetry) -> ThreadsSweep {
+    let data = blob_dataset(db_n);
     let index = IvfPqIndex::build(
         &data,
         &IvfPqConfig {
@@ -113,8 +96,7 @@ pub fn run_traced(
             ..IvfPqConfig::default()
         },
     );
-    let ids: Vec<usize> = (0..batch).map(|i| (i * 37) % db_n).collect();
-    let queries = data.gather(&ids);
+    let queries = data.gather(&strided_rows(batch, db_n));
     let params = SearchParams {
         nprobe: 12,
         k: 10,
@@ -203,14 +185,24 @@ pub fn run_traced(
         batch,
         db_n,
         traffic_bytes_per_batch,
-        host_cpus: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        host_cpus: host_threads(),
         points,
     }
 }
 
 impl ThreadsSweep {
+    /// The determinism gate: every swept point reproduced the serial
+    /// neighbors bit for bit.
+    pub fn gate(&self) -> Result<(), GateFailure> {
+        GateFailure::check(
+            "identical_to_serial",
+            self.points
+                .iter()
+                .filter(|p| !p.identical_to_serial)
+                .map(|p| format!("threads={}", p.threads)),
+        )
+    }
+
     /// JSON report.
     pub fn to_json(&self) -> Json {
         Json::obj()
@@ -285,7 +277,7 @@ mod tests {
 
     #[test]
     fn sweep_reports_identical_results_for_every_worker_count() {
-        let sweep = run(4_000, 64, &[1, 2, 4]);
+        let sweep = run(4_000, 64, &[1, 2, 4], &Telemetry::disabled());
         assert_eq!(sweep.points.len(), 3);
         assert!(sweep.traffic_bytes_per_batch > 0);
         assert!(sweep.host_cpus >= 1);
@@ -332,16 +324,23 @@ mod tests {
     fn sweep_without_serial_point_fails_loudly() {
         // Regression: the old code silently substituted the first point's
         // QPS (or 1.0) as the baseline, fabricating every speedup.
-        let _ = run(2_000, 16, &[2, 4]);
+        let _ = run(2_000, 16, &[2, 4], &Telemetry::disabled());
     }
 
     #[test]
     fn traced_sweep_snapshot_carries_stages_workers_and_accel_counters() {
         let tel = Telemetry::enabled();
-        let sweep = run_traced(4_000, 48, &[1, 2], &tel);
-        for p in &sweep.points {
-            assert!(p.identical_to_serial, "threads={} diverged", p.threads);
-        }
+        let sweep = run(4_000, 48, &[1, 2], &tel);
+        assert_eq!(sweep.gate(), Ok(()));
+        let mut diverged = sweep.clone();
+        diverged.points[1].identical_to_serial = false;
+        assert_eq!(
+            diverged.gate(),
+            Err(GateFailure {
+                gate: "identical_to_serial",
+                points: vec!["threads=2".to_string()],
+            })
+        );
         let snap = tel.snapshot_json().unwrap();
         for key in [
             // Per-stage timings, per thread count.

@@ -22,7 +22,7 @@
 //!
 //! The emitted curve (`reports/tiered_sweep.json`) must show
 //! bytes-from-storage monotonically non-increasing in capacity; the
-//! binary exits non-zero if the curve bends the wrong way or any equality
+//! `tiered_sweep` entry exits 1 if the curve bends the wrong way or any equality
 //! above fails.
 
 use std::time::Instant;
@@ -32,10 +32,10 @@ use anna_index::{IvfPqConfig, IvfPqIndex, ShardedIndex};
 use anna_plan::{EnginePlan, PlanParams, ShardedBatchPlan, TierTraffic, TrafficModel};
 use anna_vector::{Metric, VectorSet};
 
+use crate::experiments::GateFailure;
+use crate::harness::{blob_dataset, host_threads, strided_rows};
 use crate::json::Json;
 
-/// Vector dimensionality of the sweep dataset.
-pub const DIM: usize = 16;
 /// Coarse clusters in the sweep index.
 pub const NUM_CLUSTERS: usize = 48;
 /// Shards the segment set is written as.
@@ -95,19 +95,11 @@ pub struct TieredSweep {
     pub points: Vec<TieredPoint>,
 }
 
-/// Synthetic clustered dataset (same blob family as the serving sweep).
-fn dataset(n: usize) -> VectorSet {
-    VectorSet::from_fn(DIM, n, |r, c| {
-        let blob = (r % 32) as f32;
-        blob * 16.0 + ((r * 31 + c * 7) % 13) as f32 * 0.4
-    })
-}
-
 /// The fixed batch sequence every capacity point replays: `batches`
 /// query sets drawn from one pool, so later batches revisit earlier
 /// batches' clusters and the cache has something to hit.
 fn query_batches(data: &VectorSet, batches: usize, per_batch: usize) -> Vec<VectorSet> {
-    let pool: Vec<usize> = (0..per_batch * 2).map(|i| (i * 37) % data.len()).collect();
+    let pool = strided_rows(per_batch * 2, data.len());
     (0..batches)
         .map(|b| {
             let rows: Vec<usize> = (0..per_batch)
@@ -121,7 +113,7 @@ fn query_batches(data: &VectorSet, batches: usize, per_batch: usize) -> Vec<Vect
 /// Runs the sweep: the oracle replay once, then one tiered replay per
 /// capacity in `{0, T/4, T/2, T, 2T}` for `T` = total encoded bytes.
 pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep {
-    let data = dataset(db_n);
+    let data = blob_dataset(db_n);
     let index = IvfPqIndex::build(
         &data,
         &IvfPqConfig {
@@ -144,9 +136,7 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
             other => unreachable!("sharded engine planned a {} plan", other.engine()),
         }
     };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let threads = host_threads();
     let qsets = query_batches(&data, batches, queries_per_batch);
 
     // The single-shard in-RAM serial oracle, replayed once up front.
@@ -226,25 +216,34 @@ pub fn run(db_n: usize, batches: usize, queries_per_batch: usize) -> TieredSweep
 }
 
 impl TieredSweep {
-    /// Whether every batch at every point kept predicted == measured on
-    /// both tiers and stayed bit-identical to the oracle.
-    pub fn all_match(&self) -> bool {
+    /// Capacities at which some batch broke predicted == measured on
+    /// either tier or diverged from the oracle.
+    fn mismatches(&self) -> Vec<String> {
         self.points
             .iter()
-            .all(|p| p.traffic_match && p.identical_to_oracle)
+            .filter(|p| !(p.traffic_match && p.identical_to_oracle))
+            .map(|p| format!("cache_bytes_per_shard={}", p.cache_bytes_per_shard))
+            .collect()
     }
 
-    /// Whether bytes-from-storage is monotone non-increasing in cache
-    /// capacity — the shape the cache exists to produce.
-    pub fn disk_bytes_monotone(&self) -> bool {
+    /// Capacities that ground more bytes through storage than the next
+    /// smaller capacity did.
+    fn monotonicity_breaks(&self) -> Vec<String> {
         self.points
             .windows(2)
-            .all(|w| w[1].bytes_from_disk <= w[0].bytes_from_disk)
+            .filter(|w| w[1].bytes_from_disk > w[0].bytes_from_disk)
+            .map(|w| format!("cache_bytes_per_shard={}", w[1].cache_bytes_per_shard))
+            .collect()
     }
 
-    /// The acceptance gate.
-    pub fn ok(&self) -> bool {
-        self.all_match() && self.disk_bytes_monotone()
+    /// The acceptance gate: every batch at every point kept predicted ==
+    /// measured on both tiers and stayed bit-identical to the oracle
+    /// (`all_match`), and bytes-from-storage is monotone non-increasing
+    /// in cache capacity — the shape the cache exists to produce
+    /// (`disk_bytes_monotone`).
+    pub fn gate(&self) -> Result<(), GateFailure> {
+        GateFailure::check("all_match", self.mismatches())?;
+        GateFailure::check("disk_bytes_monotone", self.monotonicity_breaks())
     }
 
     /// JSON report (`reports/tiered_sweep.json`).
@@ -258,8 +257,8 @@ impl TieredSweep {
             .set("nprobe", NPROBE)
             .set("threads", self.threads)
             .set("total_code_bytes", self.total_code_bytes)
-            .set("all_match", self.all_match())
-            .set("disk_bytes_monotone", self.disk_bytes_monotone())
+            .set("all_match", self.mismatches().is_empty())
+            .set("disk_bytes_monotone", self.monotonicity_breaks().is_empty())
             .set(
                 "points",
                 Json::Arr(
@@ -332,16 +331,7 @@ mod tests {
     fn sweep_keeps_both_tier_invariants_and_warms_monotonically() {
         let sweep = run(3_000, 3, 12);
         assert_eq!(sweep.points.len(), 5);
-        assert!(
-            sweep.all_match(),
-            "tier invariants broke:\n{}",
-            sweep.render()
-        );
-        assert!(
-            sweep.disk_bytes_monotone(),
-            "disk bytes not monotone:\n{}",
-            sweep.render()
-        );
+        assert_eq!(sweep.gate(), Ok(()), "{}", sweep.render());
         // The curve actually moves: the biggest cache grinds strictly
         // fewer bytes through storage than the capacity-0 point, and the
         // capacity-0 point serves nothing from cache.
@@ -361,5 +351,25 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+
+        let mut diverged = sweep.clone();
+        diverged.points[1].identical_to_oracle = false;
+        let at = |p: &TieredPoint| format!("cache_bytes_per_shard={}", p.cache_bytes_per_shard);
+        assert_eq!(
+            diverged.gate(),
+            Err(GateFailure {
+                gate: "all_match",
+                points: vec![at(&sweep.points[1])],
+            })
+        );
+        let mut bent = sweep.clone();
+        bent.points[2].bytes_from_disk = bent.points[1].bytes_from_disk + 1;
+        assert_eq!(
+            bent.gate(),
+            Err(GateFailure {
+                gate: "disk_bytes_monotone",
+                points: vec![at(&sweep.points[2])],
+            })
+        );
     }
 }

@@ -1,21 +1,22 @@
 //! Nightly scaling regression: the overlapped batch engine must reach at
 //! least 1.5x over serial with 4 workers on the seed workload (200k
-//! vectors, batch 512 — the same configuration `reports/threads_sweep.json`
-//! is generated from).
+//! vectors, batch 512 — the same configuration
+//! `cargo run --release -p anna-bench -- threads_sweep` generates
+//! `reports/threads_sweep.json` from).
 //!
 //! `#[ignore]`d because it takes minutes and needs real cores: CI runs it
 //! in the nightly job with `--ignored`. On hosts exposing fewer than 4
 //! CPUs the assertion is vacuous (there is nothing to scale onto), so the
 //! test skips with a message instead of failing on ceremony.
 
+use anna_bench::harness::host_threads;
 use anna_bench::threads_sweep;
+use anna_telemetry::Telemetry;
 
 #[test]
 #[ignore = "minutes-long; run in the nightly lane with --ignored"]
 fn four_workers_reach_1_5x_on_the_seed_workload() {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cpus = host_threads();
     if cpus < 4 {
         eprintln!(
             "SKIP scaling regression: host exposes {cpus} CPU(s); \
@@ -24,7 +25,7 @@ fn four_workers_reach_1_5x_on_the_seed_workload() {
         return;
     }
 
-    let sweep = threads_sweep::run(200_000, 512, &[1, 4]);
+    let sweep = threads_sweep::run(200_000, 512, &[1, 4], &Telemetry::disabled());
     for p in &sweep.points {
         assert!(
             p.identical_to_serial,
